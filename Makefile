@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all check vet build test race lint guestlint bench bench-json bench-diff docs docscheck fleet-smoke clean
+.PHONY: all check vet build test race lint guestlint bench bench-json bench-diff bench-selftest docs docscheck fleet-smoke clean
 
 all: check race
 
@@ -12,9 +12,9 @@ check: vet docscheck build test lint guestlint
 vet:
 	$(GO) vet ./...
 
-# Invariant linter: the internal/analysis suite (determinism, lockcheck,
-# locksetflow, lockorder, atomiccheck, hotpath, exhaustivedecode, ctrange,
-# hosttaint, statecheck, sharecheck) run over the whole module, sharing
+# Invariant linter: the internal/analysis suite (determinism, locksetflow,
+# lockorder, atomiccheck, hotpath, exhaustivedecode, ctrange, hosttaint,
+# statecheck, sharecheck) run over the whole module, sharing
 # one type-checked load and one call graph. Zero findings is part of the
 # tier-1 gate; -time reports the per-analyzer wall time on stderr
 # (recorded in OBSERVABILITY.md), -budget fails a clean run that blows
@@ -70,6 +70,14 @@ docscheck:
 # it finishes in well under a minute on one CI core.
 fleet-smoke:
 	$(GO) run ./cmd/fleetload -machines 256 -duration 4s -round 500ms -period 3s
+
+# End-to-end benchmark harness self-test. perfbench/ is its own module
+# (replacing darkarts with ../), so `go build ./...` never compiles it;
+# this vets and tests it against the current tree, so an internal-API
+# change that breaks the harness fails here rather than at benchmark time.
+# About a minute on a 2-CPU host.
+bench-selftest:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Race-detect the whole module. The packages the parallel quantum
 # execution touches (scheduler, core engines, counter banks, metrics

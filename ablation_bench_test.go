@@ -4,12 +4,12 @@ import (
 	"testing"
 	"time"
 
-	"darkarts/internal/core"
 	"darkarts/internal/cpu"
 	"darkarts/internal/cryptoalg"
 	"darkarts/internal/evasion"
 	"darkarts/internal/isa"
 	"darkarts/internal/kernel"
+	"darkarts/internal/machine"
 	"darkarts/internal/miner"
 	"darkarts/internal/workload"
 )
@@ -23,10 +23,10 @@ import (
 // rotates are rewritten into shift|or sequences (equations 6a/6b).
 func BenchmarkAblationCounterGranularity(b *testing.B) {
 	run := func(tagSet string) float64 {
-		opts := core.DefaultOptions()
+		opts := machine.DefaultOptions()
 		opts.TagSet = tagSet
 		opts.Kernel.Tunables.Period = 5 * time.Second
-		sys, err := core.NewDefenseSystem(opts)
+		sys, err := machine.New(opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -58,13 +58,13 @@ func BenchmarkAblationCounterGranularity(b *testing.B) {
 // against per-process thresholds for a 4-way split miner.
 func BenchmarkAblationTgidAggregation(b *testing.B) {
 	run := func(shared bool) float64 {
-		machine, err := cpu.New(cpu.DefaultConfig())
+		hw, err := cpu.New(cpu.DefaultConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
 		cfg := kernel.DefaultConfig()
 		cfg.Tunables.Period = 5 * time.Second
-		k := kernel.New(machine, cfg)
+		k := kernel.New(hw, cfg)
 		if shared {
 			miner.SpawnMiner(k, miner.Monero, 0, 4, 1000)
 		} else {
@@ -93,14 +93,14 @@ func BenchmarkAblationTgidAggregation(b *testing.B) {
 // piggy-backing on context switches rather than adding a dedicated timer.
 func BenchmarkAblationSamplingFrequency(b *testing.B) {
 	latency := func(slice time.Duration) float64 {
-		machine, err := cpu.New(cpu.DefaultConfig())
+		hw, err := cpu.New(cpu.DefaultConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
 		cfg := kernel.DefaultConfig()
 		cfg.TimeSlice = slice
 		cfg.Tunables.Period = 4 * time.Second
-		k := kernel.New(machine, cfg)
+		k := kernel.New(hw, cfg)
 		miner.SpawnMiner(k, miner.Monero, 0, 4, 1000)
 		if !k.RunUntilAlert(60 * time.Second) {
 			return -1
@@ -121,13 +121,13 @@ func BenchmarkAblationSamplingFrequency(b *testing.B) {
 func BenchmarkAblationMonitoringWindow(b *testing.B) {
 	type burstWL struct{ kernel.FuncWorkload }
 	run := func(period time.Duration, sustained bool) float64 {
-		machine, err := cpu.New(cpu.DefaultConfig())
+		hw, err := cpu.New(cpu.DefaultConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
 		cfg := kernel.DefaultConfig()
 		cfg.Tunables.Period = period
-		k := kernel.New(machine, cfg)
+		k := kernel.New(hw, cfg)
 		if sustained {
 			miner.SpawnMiner(k, miner.Monero, 0, 4, 1000)
 		} else {
@@ -167,19 +167,19 @@ func BenchmarkAblationObfuscationCost(b *testing.B) {
 	count := func(p *isa.Program, stateOff int64) float64 {
 		cfg := cpu.DefaultConfig()
 		cfg.Cores = 1
-		machine, err := cpu.New(cfg)
+		hw, err := cpu.New(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		ctx, err := cpu.NewContext(p, machine.Memory(), 0x100_0000)
+		ctx, err := cpu.NewContext(p, hw.Memory(), 0x100_0000)
 		if err != nil {
 			b.Fatal(err)
 		}
-		machine.Core(0).LoadContext(ctx)
+		hw.Core(0).LoadContext(ctx)
 		for !ctx.Halted {
-			machine.Core(0).Run(1 << 22)
+			hw.Core(0).Run(1 << 22)
 		}
-		return float64(machine.Core(0).Counters().Retired())
+		return float64(hw.Core(0).Counters().Retired())
 	}
 	prog, lay := buildKeccak(b)
 	obf, err := evasion.ObfuscateRotates(prog, isa.R8, isa.R9)
@@ -205,18 +205,18 @@ func BenchmarkAblationNextLinePrefetch(b *testing.B) {
 		cfg.Cores = 1
 		cfg.Mode = cpu.ModeDetailed
 		cfg.MemCfg.NextLinePrefetch = prefetch
-		machine, err := cpu.New(cfg)
+		hw, err := cpu.New(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
 		p, _ := workload.SPECProfileByName("gcc")
-		ctx, err := cpu.NewContext(p.Program(), machine.Memory(), 0x100_0000)
+		ctx, err := cpu.NewContext(p.Program(), hw.Memory(), 0x100_0000)
 		if err != nil {
 			b.Fatal(err)
 		}
-		machine.Core(0).LoadContext(ctx)
-		machine.Core(0).Run(400_000)
-		return machine.Core(0).Counters().IPC()
+		hw.Core(0).LoadContext(ctx)
+		hw.Core(0).Run(400_000)
+		return hw.Core(0).Counters().IPC()
 	}
 	var off, on float64
 	for i := 0; i < b.N; i++ {

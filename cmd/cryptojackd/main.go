@@ -24,8 +24,8 @@ import (
 	"strconv"
 	"time"
 
-	"darkarts/internal/core"
 	"darkarts/internal/kernel"
+	"darkarts/internal/machine"
 	"darkarts/internal/miner"
 	"darkarts/internal/workload"
 )
@@ -71,14 +71,14 @@ func run(args []string) error {
 		})
 	}
 
-	opts := core.DefaultOptions()
+	opts := machine.DefaultOptions()
 	opts.TagSet = *tags
 	opts.Kernel.Tunables.Period = *period
 	opts.Kernel.Parallel = *parallel && !*serial
 	if !*obsOn {
 		opts.Kernel.Obs = nil
 	}
-	sys, err := core.NewDefenseSystem(opts)
+	sys, err := machine.New(opts)
 	if err != nil {
 		return err
 	}
@@ -96,7 +96,7 @@ func run(args []string) error {
 		}
 	}
 
-	fmt.Printf("machine: %s\n", sys.Machine())
+	fmt.Printf("machine: %s\n", sys.CPU())
 	fmt.Printf("scheduler: %s quantum execution\n", modeName(sys.Parallel()))
 	fmt.Printf("tunables: threshold %s RSX/min, window %s\n",
 		mustRead(sys, kernel.ProcThreshold), *period)
@@ -153,7 +153,7 @@ func modeName(parallel bool) string {
 	return "serial"
 }
 
-func mustRead(sys *core.DefenseSystem, path string) string {
+func mustRead(sys *machine.Machine, path string) string {
 	v, err := sys.ProcFS().Read(path)
 	if err != nil {
 		return "?"

@@ -48,7 +48,7 @@ func TestVictimFixture(t *testing.T) {
 }
 
 // TestAnnotatedTreeClean is the acceptance gate in test form: the whole
-// annotated module must lint clean with all eleven analyzers, and the
+// annotated module must lint clean with all ten analyzers, and the
 // state manifest statecheck derives from the walk must match the copy
 // committed at internal/machine/state_manifest.txt.
 func TestAnnotatedTreeClean(t *testing.T) {
@@ -88,7 +88,7 @@ func TestListFlag(t *testing.T) {
 		t.Fatalf("cryptojacklint -list: %v\n%s", err, out)
 	}
 	for _, name := range []string{
-		"determinism", "lockcheck", "locksetflow", "lockorder",
+		"determinism", "locksetflow", "lockorder",
 		"atomiccheck", "hotpath", "exhaustivedecode", "ctrange",
 		"hosttaint", "statecheck", "sharecheck",
 	} {

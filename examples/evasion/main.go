@@ -10,11 +10,11 @@ import (
 	"log"
 	"time"
 
-	"darkarts/internal/core"
 	"darkarts/internal/cpu"
 	"darkarts/internal/cryptoalg"
 	"darkarts/internal/evasion"
 	"darkarts/internal/isa"
+	"darkarts/internal/machine"
 	"darkarts/internal/miner"
 )
 
@@ -34,7 +34,7 @@ func main() {
 		plain, hidden, 100*float64(hidden-plain)/float64(plain))
 
 	// --- 2. Multi-threaded splitting -----------------------------------
-	sys, err := core.NewDefenseSystem(fastOpts())
+	sys, err := machine.New(fastOpts())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func main() {
 
 	// --- 3. Throttling sweep -------------------------------------------
 	for _, throttle := range []float64{0.30, 0.50, 0.70, 0.90} {
-		sys, err := core.NewDefenseSystem(fastOpts())
+		sys, err := machine.New(fastOpts())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -57,8 +57,8 @@ func main() {
 	fmt.Println("beyond ~56% throttle the plain threshold misses; see examples/mlpipeline for the ML extension, and note the collapsing profit.")
 }
 
-func fastOpts() core.Options {
-	opts := core.DefaultOptions()
+func fastOpts() machine.Options {
+	opts := machine.DefaultOptions()
 	opts.Kernel.Tunables.Period = 10 * time.Second
 	return opts
 }
@@ -67,21 +67,21 @@ func fastOpts() core.Options {
 func rsxOfRun(prog *isa.Program, stateOff uint64) uint64 {
 	cfg := cpu.DefaultConfig()
 	cfg.Cores = 1
-	machine, err := cpu.New(cfg)
+	hw, err := cpu.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ctx, err := cpu.NewContext(prog, machine.Memory(), 0x100_0000)
+	ctx, err := cpu.NewContext(prog, hw.Memory(), 0x100_0000)
 	if err != nil {
 		log.Fatal(err)
 	}
-	machine.Memory().Write(0x100_0000+stateOff, 1, 8)
-	machine.Core(0).LoadContext(ctx)
+	hw.Memory().Write(0x100_0000+stateOff, 1, 8)
+	hw.Core(0).LoadContext(ctx)
 	for !ctx.Halted {
-		machine.Core(0).Run(10_000_000)
+		hw.Core(0).Run(10_000_000)
 	}
 	if ctx.Fault != nil {
 		log.Fatal(ctx.Fault)
 	}
-	return machine.Core(0).Counters().RSX()
+	return hw.Core(0).Counters().RSX()
 }

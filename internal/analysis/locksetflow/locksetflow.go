@@ -1,7 +1,7 @@
-// Package locksetflow is the flow-sensitive successor to lockcheck: it
-// verifies `// guarded by <field>` annotations with a must-hold lockset
-// dataflow over the control-flow graph instead of a lexical scan. Where
-// lockcheck approximates branches with a terminating-branch heuristic,
+// Package locksetflow is the module's guarded-field checker: it verifies
+// `// guarded by <field>` annotations with a must-hold lockset dataflow
+// over the control-flow graph instead of a lexical scan. Where a lexical
+// scan approximates branches with a terminating-branch heuristic,
 // locksetflow computes, for every program point, the set of mutexes held
 // on *every* path reaching it:
 //

@@ -129,6 +129,10 @@ func (f *Fleet) handleFleet(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s)
 }
 
+// maxSpecBytes bounds a submission body; a WorkloadSpec is a few hundred
+// bytes.
+const maxSpecBytes = 64 << 10
+
 // handleWorkloads accepts a submission (POST, WorkloadSpec body) and
 // answers with its Placement.
 func (f *Fleet) handleWorkloads(w http.ResponseWriter, r *http.Request) {
@@ -137,7 +141,7 @@ func (f *Fleet) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spec WorkloadSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes)).Decode(&spec); err != nil {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: "bad body: " + err.Error()})
 		return
 	}

@@ -140,6 +140,11 @@ func TestAPIErrors(t *testing.T) {
 		{http.MethodPost, "/api/v1/fleet", "", http.StatusMethodNotAllowed},
 		{http.MethodGet, "/api/v1/alerts?since=abc", "", http.StatusBadRequest},
 		{http.MethodGet, "/api/v1/alerts?limit=x", "", http.StatusBadRequest},
+		{http.MethodPost, "/api/v1/workloads", `{"tenant":"t","kind":"miner","threads":100000000}`, http.StatusBadRequest},
+		{http.MethodPost, "/api/v1/workloads", `{"tenant":"t","kind":"miner","threads":65}`, http.StatusBadRequest},
+		{http.MethodPost, "/api/v1/workloads", `{"tenant":"t","kind":"program","program":"sha256","ips":18446744073709551615}`, http.StatusBadRequest},
+		{http.MethodPost, "/api/v1/workloads", `{"tenant":"t","kind":"program","program":"sha256","ips":` + jsonUint(f.cfg.Machine.CPU.FreqHz+1) + `}`, http.StatusBadRequest},
+		{http.MethodPost, "/api/v1/workloads", `{"tenant":"` + strings.Repeat("t", 64<<10) + `","kind":"app","app":"Slack"}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		req, _ := http.NewRequest(c.method, srv.URL+c.path, strings.NewReader(c.body))

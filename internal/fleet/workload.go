@@ -193,6 +193,10 @@ func (f *Fleet) Submit(spec WorkloadSpec) (Placement, error) {
 	return pl, nil
 }
 
+// maxMinerThreads caps a miner spec's thread count: each thread is a task
+// on one machine.
+const maxMinerThreads = 64
+
 // validate rejects malformed specs before any placement state changes.
 func (f *Fleet) validate(spec WorkloadSpec) error {
 	switch spec.Kind {
@@ -209,10 +213,16 @@ func (f *Fleet) validate(spec WorkloadSpec) error {
 		if spec.Throttle < 0 || spec.Throttle >= 1 {
 			return fmt.Errorf("fleet: miner throttle %v outside [0,1)", spec.Throttle)
 		}
+		if spec.Threads > maxMinerThreads {
+			return fmt.Errorf("fleet: miner threads %d above %d", spec.Threads, maxMinerThreads)
+		}
 	case KindProgram:
 		f.ensureCatalog()
 		if _, ok := f.catalog[spec.Program]; !ok {
 			return fmt.Errorf("fleet: unknown catalog program %q (have %v)", spec.Program, f.Catalog())
+		}
+		if hz := f.cfg.Machine.CPU.FreqHz; spec.IPS > hz {
+			return fmt.Errorf("fleet: program ips %d above the machine clock %d Hz", spec.IPS, hz)
 		}
 	default:
 		return fmt.Errorf("fleet: unknown workload kind %q", spec.Kind)

@@ -220,20 +220,45 @@ func TestProcFSRoundTrip(t *testing.T) {
 	}
 }
 
+// TestProcFSRejectsBadValues: a rejected write returns an error and leaves
+// every tunable as it was. The window cases hold whichever of period_ms and
+// static_prior_divisor is written last (Period starts at 1s, divisor at 4).
 func TestProcFSRejectsBadValues(t *testing.T) {
-	k := newTestKernel(t)
-	fs := k.ProcFS()
-	bad := map[string]string{
-		ProcThreshold:   "0",
-		ProcPeriod:      "-5",
-		ProcEnabled:     "maybe",
-		ProcMonitorRoot: "2",
+	cases := []struct {
+		name        string
+		setup       [][2]string // accepted writes before the rejected one
+		path, value string
+	}{
+		{"zero threshold", nil, ProcThreshold, "0"},
+		{"negative period", nil, ProcPeriod, "-5"},
+		{"non-boolean enabled", nil, ProcEnabled, "maybe"},
+		{"non-boolean monitor_root", nil, ProcMonitorRoot, "2"},
+		{"period overflows Duration", nil, ProcPeriod, "9300000000000"},
+		{"divisor wraps Duration negative", nil, ProcStaticDiv, "9223372036854775808"},
+		{"divisor max uint64", nil, ProcStaticDiv, "18446744073709551615"},
+		{"divisor leaves sub-ms window", nil, ProcStaticDiv, "1001"},
+		{"period shrinks window under divisor", [][2]string{{ProcStaticDiv, "1000"}}, ProcPeriod, "999"},
+		{"divisor after short period", [][2]string{{ProcStaticDiv, "1"}, {ProcPeriod, "3"}}, ProcStaticDiv, "4"},
 	}
-	for path, val := range bad {
-		if err := fs.Write(path, val); err == nil {
-			t.Errorf("Write(%s, %q) accepted", path, val)
-		}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			k := newTestKernel(t)
+			fs := k.ProcFS()
+			for _, w := range tc.setup {
+				if err := fs.Write(w[0], w[1]); err != nil {
+					t.Fatalf("setup Write(%s, %q): %v", w[0], w[1], err)
+				}
+			}
+			before := k.Tunables()
+			if err := fs.Write(tc.path, tc.value); err == nil {
+				t.Errorf("Write(%s, %q) accepted", tc.path, tc.value)
+			}
+			if after := k.Tunables(); after != before {
+				t.Errorf("rejected write changed tunables: %+v -> %+v", before, after)
+			}
+		})
 	}
+	fs := newTestKernel(t).ProcFS()
 	if _, err := fs.Read("sys/rsx/nope"); err == nil {
 		t.Error("Read of unknown path accepted")
 	}

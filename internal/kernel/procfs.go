@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -60,6 +61,21 @@ func (t Tunables) thresholdForPeriod() uint64 {
 // length (the static-prior path checks shortened windows).
 func (t Tunables) thresholdFor(period time.Duration) uint64 {
 	return uint64(float64(t.ThresholdPerMin) * period.Minutes())
+}
+
+// minWindow is the shortest monitoring window a procfs write may leave in
+// force, static-prior windows included: the resolution of period_ms. A
+// shorter window scales the threshold toward zero, which alerts on every
+// context switch.
+const minWindow = time.Millisecond
+
+// checkWindow rejects a period and static-prior divisor that leave any
+// monitoring window shorter than minWindow.
+func checkWindow(period time.Duration, div uint64) error {
+	if period < minWindow || div > uint64(period/minWindow) {
+		return fmt.Errorf("period %s / static_prior_divisor %d leaves a window under %s", period, div, minWindow)
+	}
+	return nil
 }
 
 // periodFor returns the monitoring window for one accounting structure:
@@ -149,10 +165,14 @@ func (p *ProcFS) Write(path, value string) error {
 		p.k.tunables.ThresholdPerMin = v
 	case ProcPeriod:
 		ms, err := strconv.ParseInt(value, 10, 64)
-		if err != nil || ms <= 0 {
+		if err != nil || ms <= 0 || ms > math.MaxInt64/int64(time.Millisecond) {
 			return fmt.Errorf("procfs: %s: invalid period %q", path, value)
 		}
-		p.k.tunables.Period = time.Duration(ms) * time.Millisecond
+		period := time.Duration(ms) * time.Millisecond
+		if err := checkWindow(period, p.k.tunables.StaticPriorDivisor); err != nil {
+			return fmt.Errorf("procfs: %s: %w", path, err)
+		}
+		p.k.tunables.Period = period
 	case ProcEnabled:
 		b, err := parseBoolFile(value)
 		if err != nil {
@@ -175,6 +195,9 @@ func (p *ProcFS) Write(path, value string) error {
 		v, err := strconv.ParseUint(value, 10, 64)
 		if err != nil {
 			return fmt.Errorf("procfs: %s: invalid divisor %q", path, value)
+		}
+		if err := checkWindow(p.k.tunables.Period, v); err != nil {
+			return fmt.Errorf("procfs: %s: %w", path, err)
 		}
 		p.k.tunables.StaticPriorDivisor = v
 	default:

@@ -1,23 +1,22 @@
-package core_test
+package machine
 
 import (
 	"testing"
 	"time"
 
-	"darkarts/internal/core"
 	"darkarts/internal/kernel"
 	"darkarts/internal/miner"
 	"darkarts/internal/workload"
 )
 
-func fastOptions() core.Options {
-	opts := core.DefaultOptions()
+func fastOptions() Options {
+	opts := DefaultOptions()
 	opts.Kernel.Tunables.Period = time.Second
 	return opts
 }
 
-func TestDefenseSystemDetectsMinerAmongApps(t *testing.T) {
-	sys, err := core.NewDefenseSystem(fastOptions())
+func TestMachineDetectsMinerAmongApps(t *testing.T) {
+	sys, err := New(fastOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,8 +44,8 @@ func TestDefenseSystemDetectsMinerAmongApps(t *testing.T) {
 	}
 }
 
-func TestDefenseSystemCleanRunStaysQuiet(t *testing.T) {
-	sys, err := core.NewDefenseSystem(fastOptions())
+func TestMachineCleanRunStaysQuiet(t *testing.T) {
+	sys, err := New(fastOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,18 +58,18 @@ func TestDefenseSystemCleanRunStaysQuiet(t *testing.T) {
 	}
 }
 
-func TestDefenseSystemMicrocodeUpdate(t *testing.T) {
-	sys, err := core.NewDefenseSystem(fastOptions())
+func TestMachineMicrocodeUpdate(t *testing.T) {
+	sys, err := New(fastOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sys.Machine().TagTable().Name(); got != "RSX" {
+	if got := sys.CPU().TagTable().Name(); got != "RSX" {
 		t.Fatalf("initial tag set %q", got)
 	}
 	if err := sys.UpdateMicrocode(2, "rsxo"); err != nil {
 		t.Fatal(err)
 	}
-	if got := sys.Machine().TagTable().Name(); got != "RSXO" {
+	if got := sys.CPU().TagTable().Name(); got != "RSXO" {
 		t.Errorf("after update: %q", got)
 	}
 	if err := sys.UpdateMicrocode(3, "nope"); err == nil {
@@ -78,8 +77,8 @@ func TestDefenseSystemMicrocodeUpdate(t *testing.T) {
 	}
 }
 
-func TestDefenseSystemISAProgram(t *testing.T) {
-	sys, err := core.NewDefenseSystem(fastOptions())
+func TestMachineISAProgram(t *testing.T) {
+	sys, err := New(fastOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,8 +93,8 @@ func TestDefenseSystemISAProgram(t *testing.T) {
 	}
 }
 
-func TestDefenseSystemTunablesViaProcFS(t *testing.T) {
-	sys, err := core.NewDefenseSystem(fastOptions())
+func TestMachineTunablesViaProcFS(t *testing.T) {
+	sys, err := New(fastOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,16 +108,13 @@ func TestDefenseSystemTunablesViaProcFS(t *testing.T) {
 	}
 }
 
-func TestDefenseSystemRejectsBadOptions(t *testing.T) {
-	opts := core.DefaultOptions()
+// TestMachineRejectsBadOptions: construction validates the CPU config
+// (TestMachineBadTagSet covers the tag set).
+func TestMachineRejectsBadOptions(t *testing.T) {
+	opts := DefaultOptions()
 	opts.CPU.Cores = 0
-	if _, err := core.NewDefenseSystem(opts); err == nil {
+	if _, err := New(opts); err == nil {
 		t.Error("bad CPU config accepted")
-	}
-	opts = core.DefaultOptions()
-	opts.TagSet = "bogus"
-	if _, err := core.NewDefenseSystem(opts); err == nil {
-		t.Error("bad tag set accepted")
 	}
 }
 
@@ -128,7 +124,7 @@ func TestRotateOnlyAblationMissesObfuscatedMiner(t *testing.T) {
 	mk := func(tagSet string) int {
 		opts := fastOptions()
 		opts.TagSet = tagSet
-		sys, err := core.NewDefenseSystem(opts)
+		sys, err := New(opts)
 		if err != nil {
 			t.Fatal(err)
 		}

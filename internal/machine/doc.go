@@ -13,6 +13,17 @@
 // every member's cpu.Config — its entries are immutable, so it too adds no
 // ordering between machines.
 //
-// internal/core.DefenseSystem remains the single-host convenience wrapper
-// and delegates to this package.
+// A Machine is also the single-host entry point, assembling the paper's
+// cross-stack defense (Figure 3): the decoder's RSX tags and retirement
+// counter (hardware layer) plus context-switch sampling, tgid aggregation,
+// procfs tunables and alerting (OS layer):
+//
+//	m, _ := machine.New(machine.DefaultOptions())
+//	m.SpawnApp(someWorkloadProfile)
+//	miner.SpawnMiner(m.Kernel(), miner.Monero, 0.3, 4, 1000)
+//	m.Run(2 * time.Minute)
+//	for _, a := range m.Alerts() { fmt.Println(a) }
+//
+// Its metrics registry (Machine.Obs, package obs) covers every layer
+// above; OBSERVABILITY.md is the catalog.
 package machine

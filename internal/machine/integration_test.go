@@ -1,23 +1,22 @@
-package core_test
+package machine
 
 import (
 	"testing"
 	"time"
 
-	"darkarts/internal/core"
 	"darkarts/internal/evasion"
 	"darkarts/internal/isa"
 	"darkarts/internal/miner"
 	"darkarts/internal/workload"
 )
 
-// isaMinerSystem boots a defense system whose timescales are compressed so
+// isaMinerSystem boots a machine whose timescales are compressed so
 // a real ISA mining program (interpreted at scaledIPS) crosses its
 // detection window within an affordable number of host instructions.
-func isaMinerSystem(t *testing.T, tagSet string) (*core.DefenseSystem, uint64) {
+func isaMinerSystem(t *testing.T, tagSet string) (*Machine, uint64) {
 	t.Helper()
 	const scaledIPS = 40_000_000 // simulated instructions per simulated second
-	opts := core.DefaultOptions()
+	opts := DefaultOptions()
 	opts.TagSet = tagSet
 	opts.Kernel.TimeSlice = 50 * time.Millisecond
 	opts.Kernel.Tunables.Period = 500 * time.Millisecond
@@ -26,7 +25,7 @@ func isaMinerSystem(t *testing.T, tagSet string) (*core.DefenseSystem, uint64) {
 	// threshold of 120M/min sits at ~30% of that — the same relative
 	// position 2.5B holds against Monero's 5.7B on the real machine.
 	opts.Kernel.Tunables.ThresholdPerMin = 120_000_000
-	sys, err := core.NewDefenseSystem(opts)
+	sys, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,9 +86,9 @@ func TestLiveMicrocodeSwitch(t *testing.T) {
 	b.Jmp("l")
 	prog := b.MustBuild()
 
-	opts := core.DefaultOptions()
+	opts := DefaultOptions()
 	opts.Kernel.Tunables.Period = time.Second
-	sys, err := core.NewDefenseSystem(opts)
+	sys, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,9 +113,9 @@ func TestLiveMicrocodeSwitch(t *testing.T) {
 // TestManyTenantsOneMiner scales the task count: 40 benign tenants from the
 // registry plus one throttled miner; the miner must be the only alert.
 func TestManyTenantsOneMiner(t *testing.T) {
-	opts := core.DefaultOptions()
+	opts := DefaultOptions()
 	opts.Kernel.Tunables.Period = 2 * time.Second
-	sys, err := core.NewDefenseSystem(opts)
+	sys, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
