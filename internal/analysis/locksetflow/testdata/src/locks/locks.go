@@ -3,7 +3,7 @@
 // the contract, early-return, constructor and suppression forms that must
 // stay quiet.
 
-package flow
+package locks
 
 import "sync"
 
