@@ -293,9 +293,8 @@ func BenchmarkFastEngineMIPS(b *testing.B) {
 
 // BenchmarkBlockCacheMIPS measures the fast engine on the mining kernels
 // the defense exists to detect — the workloads whose characterization runs
-// dominate the experiment wall clock. Cached is the full engine (block
-// cache + superblock traces), BlocksOnly ablates the trace layer, and
-// Uncached is the per-instruction reference loop, all on the same program.
+// dominate the experiment wall clock. Cached is the block-cache engine and
+// Uncached is the per-instruction reference loop, on the same program.
 func BenchmarkBlockCacheMIPS(b *testing.B) {
 	kernels := []struct {
 		name string
@@ -307,15 +306,13 @@ func BenchmarkBlockCacheMIPS(b *testing.B) {
 	}
 	for _, k := range kernels {
 		for _, mode := range []struct {
-			name     string
-			noCache  bool
-			noTraces bool
-		}{{"Cached", false, false}, {"BlocksOnly", false, true}, {"Uncached", true, false}} {
+			name    string
+			noCache bool
+		}{{"Cached", false}, {"Uncached", true}} {
 			b.Run(k.name+"/"+mode.name, func(b *testing.B) {
 				cfg := cpu.DefaultConfig()
 				cfg.Cores = 1
 				cfg.NoBlockCache = mode.noCache
-				cfg.NoTraceCache = mode.noTraces
 				machine, err := cpu.New(cfg)
 				if err != nil {
 					b.Fatal(err)

@@ -52,7 +52,7 @@ func serveFleet(addr string, f *fleet.Fleet) (*http.Server, net.Addr, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("fleet listener: %w", err)
 	}
-	srv := &http.Server{Handler: newFleetMux(f)}
+	srv := newServer(newFleetMux(f))
 	go func() { _ = srv.Serve(ln) }()
 	return srv, ln.Addr(), nil
 }

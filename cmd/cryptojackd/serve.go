@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"time"
 
 	"darkarts/internal/kernel"
 	"darkarts/internal/machine"
@@ -19,6 +20,28 @@ import (
 // prometheusContentType is the text exposition format version the stdlib
 // renderer emits.
 const prometheusContentType = "text/plain; version=0.0.4; charset=utf-8"
+
+// Server timeouts, shared by the -http listeners of both modes. Without
+// them a client that trickles its headers or body, or never reads the
+// response, holds a connection and its goroutine forever. The write bound
+// leaves room for a full /metrics scrape of a large fleet.
+const (
+	serverReadHeaderTimeout = 5 * time.Second
+	serverReadTimeout       = 10 * time.Second
+	serverWriteTimeout      = 30 * time.Second
+	serverIdleTimeout       = 60 * time.Second
+)
+
+// newServer wraps h in an http.Server carrying the timeouts above.
+func newServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: serverReadHeaderTimeout,
+		ReadTimeout:       serverReadTimeout,
+		WriteTimeout:      serverWriteTimeout,
+		IdleTimeout:       serverIdleTimeout,
+	}
+}
 
 // metricsHandler serves the registry in Prometheus text exposition format.
 func metricsHandler(reg *obs.Registry) http.HandlerFunc {
@@ -57,7 +80,7 @@ func serveMetrics(addr string, sys *machine.Machine) (*http.Server, net.Addr, er
 	if err != nil {
 		return nil, nil, fmt.Errorf("metrics listener: %w", err)
 	}
-	srv := &http.Server{Handler: newMux(sys)}
+	srv := newServer(newMux(sys))
 	go func() { _ = srv.Serve(ln) }()
 	return srv, ln.Addr(), nil
 }

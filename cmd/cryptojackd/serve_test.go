@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"darkarts/internal/fleet"
 	"darkarts/internal/machine"
 	"darkarts/internal/miner"
 )
@@ -25,6 +27,35 @@ func testSystem(t *testing.T) *machine.Machine {
 	miner.SpawnMiner(sys.Kernel(), miner.Monero, 0, 4, 1000)
 	sys.Run(time.Minute)
 	return sys
+}
+
+// TestServersHaveTimeouts: both -http listeners bound every phase of a
+// connection, so a slow or stalled client cannot hold one open forever.
+func TestServersHaveTimeouts(t *testing.T) {
+	sys, err := machine.New(machine.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, _, err := serveMetrics("127.0.0.1:0", sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer single.Close()
+	f, err := fleet.New(fleet.DefaultConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl, _, err := serveFleet("127.0.0.1:0", f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fl.Close()
+	for name, srv := range map[string]*http.Server{"single": single, "fleet": fl} {
+		if srv.ReadHeaderTimeout <= 0 || srv.ReadTimeout <= 0 || srv.WriteTimeout <= 0 || srv.IdleTimeout <= 0 {
+			t.Errorf("%s server timeouts: header=%v read=%v write=%v idle=%v", name,
+				srv.ReadHeaderTimeout, srv.ReadTimeout, srv.WriteTimeout, srv.IdleTimeout)
+		}
+	}
 }
 
 func TestMetricsEndpointPrometheusFormat(t *testing.T) {

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -296,6 +297,75 @@ func TestBlockCacheBranchIntoBlockMiddle(t *testing.T) {
 	requireSameOutcome(t, prog.Name, cached, plain)
 	if cached.regs[1] != 1 || cached.regs[2] != 50 {
 		t.Fatalf("unexpected results r1=%d r2=%d", cached.regs[1], cached.regs[2])
+	}
+}
+
+// TestBlockEngineLoopShapes runs fixed hot-loop shapes through the block
+// engine at every slice size from 1 to 40, so slice boundaries land at each
+// offset of each block: a branch whose direction alternates by loop-counter
+// parity, and a data-dependent divide fault moved through a loop body cut
+// into short blocks.
+func TestBlockEngineLoopShapes(t *testing.T) {
+	parity := isa.NewBuilder("parity")
+	parity.Movi(isa.R12, 600)
+	parity.Label("loop")
+	for i := 0; i < 10; i++ {
+		parity.OpI(isa.XORI, isa.R1, isa.R1, 0x9E)
+		parity.OpI(isa.ROLI, isa.R1, isa.R1, 7)
+	}
+	parity.OpI(isa.ANDI, isa.R13, isa.R12, 1)
+	parity.Cmpi(isa.R13, 0)
+	parity.Jcc(isa.JE, "even")
+	parity.OpI(isa.ADDI, isa.R2, isa.R2, 3)
+	parity.Label("even")
+	parity.OpI(isa.ADDI, isa.R3, isa.R3, 1)
+	parity.OpI(isa.SUBI, isa.R12, isa.R12, 1)
+	parity.Cmpi(isa.R12, 0)
+	parity.Jcc(isa.JNE, "loop")
+	parity.Halt()
+	progs := []*isa.Program{parity.MustBuild()}
+
+	const body = 32
+	for pos := 0; pos < body; pos += 5 {
+		b := isa.NewBuilder(fmt.Sprintf("divpos%d", pos))
+		b.Movi(isa.R12, 50)
+		b.Label("loop")
+		for i := 0; i < body; i++ {
+			if i == pos {
+				// R13 = R12-1 is zero on the last iteration only.
+				b.OpI(isa.SUBI, isa.R13, isa.R12, 1)
+				b.Op3(isa.DIV, isa.R4, isa.R1, isa.R13)
+			} else {
+				b.OpI(isa.XORI, isa.R1, isa.R1, int64(0x40+i))
+			}
+			if i%7 == 6 {
+				// Always-taken jump to the fall-through ends the block.
+				b.Cmpi(isa.R14, 0)
+				b.Jcc(isa.JE, fmt.Sprintf("blk%d", i))
+				b.Label(fmt.Sprintf("blk%d", i))
+			}
+		}
+		b.OpI(isa.SUBI, isa.R12, isa.R12, 1)
+		b.Cmpi(isa.R12, 0)
+		b.Jcc(isa.JNE, "loop")
+		b.Halt()
+		progs = append(progs, b.MustBuild())
+	}
+
+	for i, prog := range progs {
+		plain := runBB(t, prog, true, 1<<30, nil)
+		if i > 0 && plain.fault == "" {
+			t.Fatalf("%s: reference run did not fault", prog.Name)
+		}
+		for slice := uint64(1); slice <= 40; slice++ {
+			cached := runBB(t, prog, false, slice, nil)
+			requireSameOutcome(t, fmt.Sprintf("%s/slice=%d", prog.Name, slice), cached, plain)
+		}
+	}
+	// 300 odd iterations take the fall-through (+3 each); every iteration
+	// bumps R3.
+	if out := runBB(t, progs[0], false, 1<<30, nil); out.regs[2] != 900 || out.regs[3] != 600 {
+		t.Fatalf("parity branch accounting off: r2=%d r3=%d", out.regs[2], out.regs[3])
 	}
 }
 

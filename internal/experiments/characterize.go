@@ -177,7 +177,12 @@ func Figure1() Table {
 	for g := range groups {
 		names = append(names, g)
 	}
-	sort.Slice(names, func(i, j int) bool { return groups[names[i]] > groups[names[j]] })
+	sort.Slice(names, func(i, j int) bool {
+		if groups[names[i]] != groups[names[j]] {
+			return groups[names[i]] > groups[names[j]]
+		}
+		return names[i] < names[j]
+	})
 
 	t := Table{
 		ID:      "fig1",

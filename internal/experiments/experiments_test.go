@@ -40,6 +40,13 @@ func TestFigure1Shape(t *testing.T) {
 	if !sawXOR {
 		t.Error("XOR group missing")
 	}
+	// Tied groups (ROR/ROL and other) print in name order on every run.
+	want := tab.String()
+	for i := 0; i < 20; i++ {
+		if got := Figure1().String(); got != want {
+			t.Fatalf("fig1 row order differs between runs:\n%s\nvs\n%s", want, got)
+		}
+	}
 }
 
 func TestFigures5to11Shapes(t *testing.T) {

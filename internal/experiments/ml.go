@@ -86,12 +86,31 @@ func templateFor(cat workload.Category) opMix {
 	}
 }
 
+// ops lists the mix's opcodes in isa.AllOps order. Every loop whose result
+// depends on visit order (float sums, RNG draws) goes through it, so a
+// dataset is a pure function of its seed; Go's map order is random.
+func (m opMix) ops() []isa.Op {
+	ops := make([]isa.Op, 0, len(m))
+	for _, op := range isa.AllOps() {
+		if _, ok := m[op]; ok {
+			ops = append(ops, op)
+		}
+	}
+	return ops
+}
+
+// sum adds the mix's weights in isa.AllOps order.
+func (m opMix) sum() float64 {
+	var sum float64
+	for _, op := range m.ops() {
+		sum += m[op]
+	}
+	return sum
+}
+
 // normalize scales the mix to sum to 1.
 func (m opMix) normalize() {
-	var sum float64
-	for _, v := range m {
-		sum += v
-	}
+	sum := m.sum()
 	if sum <= 0 {
 		return
 	}
@@ -102,12 +121,12 @@ func (m opMix) normalize() {
 
 // jitter multiplies every entry by (1 + sd*N(0,1)), clamped positive.
 func (m opMix) jitter(rng *rand.Rand, sd float64) {
-	for op, v := range m {
+	for _, op := range m.ops() {
 		f := 1 + sd*rng.NormFloat64()
 		if f < 0.05 {
 			f = 0.05
 		}
-		m[op] = v * f
+		m[op] *= f
 	}
 	m.normalize()
 }
@@ -126,10 +145,7 @@ func classMix(rotate, shift, xor, or float64, base opMix) opMix {
 	if rest < 0 {
 		rest = 0
 	}
-	var baseSum float64
-	for _, v := range base {
-		baseSum += v
-	}
+	baseSum := base.sum()
 	for op, v := range base {
 		m[op] += v * rest / baseSum
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"testing"
 
 	"darkarts/internal/trace"
@@ -29,6 +30,20 @@ func TestBuildMLDatasetShape(t *testing.T) {
 	for i, th := range ds.ThrottleOf {
 		if (ds.Y[i] == 1) != (th >= 0) {
 			t.Fatalf("throttle label mismatch at %d", i)
+		}
+	}
+}
+
+// TestBuildMLDatasetDeterministic: the dataset behind Figure 18 is a pure
+// function of its seed, so the printed figure is reproducible.
+func TestBuildMLDatasetDeterministic(t *testing.T) {
+	a, b := BuildMLDataset(7), BuildMLDataset(7)
+	if !reflect.DeepEqual(a.Y, b.Y) {
+		t.Fatal("labels differ between two builds with the same seed")
+	}
+	for i := range a.X {
+		if !reflect.DeepEqual(a.X[i], b.X[i]) {
+			t.Fatalf("sample %d differs between two builds with the same seed", i)
 		}
 	}
 }

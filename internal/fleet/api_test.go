@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -165,4 +166,50 @@ func TestAPIErrors(t *testing.T) {
 func jsonUint(v uint64) string {
 	b, _ := json.Marshal(v)
 	return string(b)
+}
+
+// FuzzWorkloadSpec posts arbitrary bodies to the submission endpoint of a
+// one-machine fleet. The handler must not panic, must answer 201 or a 4xx,
+// and must count every 4xx (and nothing else) in fleet_api_errors_total.
+func FuzzWorkloadSpec(f *testing.F) {
+	cfg := testConfig(1)
+	for _, body := range []string{
+		`{"tenant":"t","kind":"app","app":"Slack"}`,
+		`{"tenant":"t","kind":"miner","threads":2}`,
+		`{"tenant":"t","kind":"program","program":"sha256"}`,
+		`{"tenant":"t","kind":"nope"}`,
+		`not json`,
+		`{"kind":"app","app":"Slack"}`,
+		`{"tenant":"t","kind":"miner","threads":100000000}`,
+		`{"tenant":"t","kind":"miner","threads":65}`,
+		`{"tenant":"t","kind":"program","program":"sha256","ips":18446744073709551615}`,
+		`{"tenant":"t","kind":"program","program":"sha256","ips":` + jsonUint(cfg.Machine.CPU.FreqHz+1) + `}`,
+		`{"tenant":"` + strings.Repeat("t", 64<<10) + `","kind":"app","app":"Slack"}`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		fl, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		errs := func() float64 {
+			n, _ := fl.Obs().Value("fleet_api_errors_total", "")
+			return n
+		}
+		before := errs()
+		rec := httptest.NewRecorder()
+		fl.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/workloads", bytes.NewReader(body)))
+		var want float64
+		switch {
+		case rec.Code == http.StatusCreated:
+		case rec.Code >= 400 && rec.Code < 500:
+			want = 1
+		default:
+			t.Fatalf("status %d for body %q", rec.Code, body)
+		}
+		if got := errs() - before; got != want {
+			t.Fatalf("status %d: fleet_api_errors_total rose by %v, want %v", rec.Code, got, want)
+		}
+	})
 }

@@ -209,8 +209,7 @@ type Fleet struct {
 	catalogOnce sync.Once
 	catalog     map[string]*isa.Program // immutable after catalogOnce
 	// catProfiles holds each catalog program's static-analysis profile,
-	// computed (and the image annotated with trace-seeding hints) before
-	// any machine loads it. Immutable after catalogOnce.
+	// computed once with the catalog. Immutable after catalogOnce.
 	catProfiles map[string]gsa.StaticProfile
 
 	workerWG sync.WaitGroup

@@ -94,9 +94,8 @@ func (f *Fleet) Catalog() []string {
 
 // ensureCatalog builds the shared program images once; concurrent callers
 // (API handlers, Submit) synchronize on the Once and the map is immutable
-// afterwards. Every image is statically analyzed (and annotated with
-// trace-seeding hot-loop hints) here, before any machine can load it — the
-// write-once window the annotation contract requires.
+// afterwards. Every image is statically analyzed here, once, so
+// submissions read a precomputed profile.
 func (f *Fleet) ensureCatalog() {
 	f.catalogOnce.Do(func() {
 		sha, _ := cryptoalg.BuildSHA256Program(4)
@@ -118,7 +117,7 @@ func (f *Fleet) ensureCatalog() {
 		sort.Strings(names)
 		f.catProfiles = make(map[string]gsa.StaticProfile, len(f.catalog))
 		for _, n := range names {
-			f.catProfiles[n] = gsa.Annotate(f.catalog[n])
+			f.catProfiles[n] = gsa.Analyze(f.catalog[n])
 		}
 	})
 }

@@ -53,8 +53,8 @@ func TestRegistrySweep(t *testing.T) {
 		if prof.Loops == 0 {
 			t.Errorf("%s: no loops found in a looping workload", e.Name)
 		}
-		if len(prof.HintPCs) == 0 {
-			t.Errorf("%s: no trace-seeding hints", e.Name)
+		if len(prof.HotLoops) == 0 {
+			t.Errorf("%s: no scored loop heads", e.Name)
 		}
 	}
 	if minMiner-maxBenign < scoreMargin {

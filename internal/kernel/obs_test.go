@@ -19,9 +19,7 @@ import (
 )
 
 // memProgram is a looping program with stack traffic so the per-core TLBs
-// see both hits and misses. Its 4-instruction loop body is deliberately
-// below the trace engine's minimum path length, so it exercises the
-// plain block cache even with tracing enabled.
+// see both hits and misses.
 func memProgram() *isa.Program {
 	b := isa.NewBuilder("memspin")
 	b.Movi(isa.R1, 0x1234)
@@ -33,12 +31,9 @@ func memProgram() *isa.Program {
 	return b.MustBuild()
 }
 
-// hashProgram is a hot, branchy ALU loop shaped for the trace engine: the
-// body clears the minimum path length, and the conditional skips keep the
-// source blocks short (the trace layer rejects long-straight-line paths
-// the block engine already runs at full speed). A few seconds of
-// simulation promote it into a superblock trace and complete millions of
-// passes.
+// hashProgram is a hot, branchy ALU loop: the conditional skips keep its
+// basic blocks short, so a few seconds of simulation dispatch millions of
+// cached blocks.
 func hashProgram() *isa.Program {
 	b := isa.NewBuilder("hashspin")
 	b.Movi(isa.R1, 0x7f4a7c15)
@@ -118,17 +113,13 @@ func TestObsRegistryPopulatedByRun(t *testing.T) {
 		t.Errorf("tasks_spawned_total = %v, want 5", spawned)
 	}
 
-	var busy, tlbHits, tlbMisses, retired float64
-	var trHits, trBuilds float64
+	var busy, tlbHits, tlbMisses, retired, bbDispatches float64
 	for i := 0; i < k.Machine().Cores(); i++ {
 		busy += mustValue("sched_core_busy_ns_total", obs.CoreLabel(i))
 		tlbHits += mustValue("tlb_hits_total", obs.CoreLabel(i))
 		tlbMisses += mustValue("tlb_misses_total", obs.CoreLabel(i))
 		retired += mustValue("sched_core_retired_total", obs.CoreLabel(i))
-		trHits += mustValue("trace_hits_total", obs.CoreLabel(i))
-		trBuilds += mustValue("trace_builds_total", obs.CoreLabel(i))
-		mustValue("trace_side_exits_total", obs.CoreLabel(i))
-		mustValue("trace_deopts_total", obs.CoreLabel(i))
+		bbDispatches += mustValue("bb_hits_total", obs.CoreLabel(i)) + mustValue("bb_misses_total", obs.CoreLabel(i))
 	}
 	if busy <= 0 {
 		t.Error("no core busy time recorded")
@@ -143,26 +134,21 @@ func TestObsRegistryPopulatedByRun(t *testing.T) {
 		t.Errorf("mem_pages = %v, %v; want > 0", pages, ok)
 	}
 
-	// Five seconds of hot mining loops must promote blocks into traces,
-	// and completed passes feed the per-pass length histogram whose sum
-	// (guest instructions retired via traces) cannot exceed total retire.
-	if trBuilds == 0 {
-		t.Error("trace_builds_total flat: no hot block was promoted to a trace")
-	}
-	if trHits == 0 {
-		t.Error("trace_hits_total flat: no trace pass completed")
-	}
-	var trLenHist obs.Metric
+	// The ISA miners run on the block cache: each dispatch is one hit or
+	// miss and one per-block length observation, and the observations'
+	// sum (guest instructions retired via blocks) cannot exceed total
+	// retire, which also counts rate-model workloads.
+	var bbLenHist obs.Metric
 	for _, m := range reg.Snapshot() {
-		if m.Name == "trace_insts_per_pass" {
-			trLenHist = m
+		if m.Name == "bb_insts_per_block" {
+			bbLenHist = m
 		}
 	}
-	if float64(trLenHist.Value) != trHits {
-		t.Errorf("trace_insts_per_pass count = %d, want %v", trLenHist.Value, trHits)
+	if float64(bbLenHist.Value) != bbDispatches {
+		t.Errorf("bb_insts_per_block count = %d, want bb hits+misses %v", bbLenHist.Value, bbDispatches)
 	}
-	if trLenHist.Sum == 0 || float64(trLenHist.Sum) > retired {
-		t.Errorf("trace_insts_per_pass sum = %d, want in (0, %v]", trLenHist.Sum, retired)
+	if bbLenHist.Sum == 0 || float64(bbLenHist.Sum) > retired {
+		t.Errorf("bb_insts_per_block sum = %d, want in (0, %v]", bbLenHist.Sum, retired)
 	}
 
 	// The alert pipeline must have measured a latency for every alert.
@@ -210,8 +196,8 @@ func TestProcStatsFile(t *testing.T) {
 		"sched_quanta_total",
 		"rsx_delta_per_switch",
 		`sched_core_busy_ns_total{core="0"}`,
-		`trace_hits_total{core="0"}`,
-		"trace_insts_per_pass",
+		`bb_hits_total{core="0"}`,
+		"bb_insts_per_block",
 		"detect_windows_total",
 		"[trace]",
 		"tunable  sys/rsx/threshold_per_min=1500000000",
