@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all check vet build test race lint guestlint bench bench-json bench-diff bench-selftest docs docscheck fleet-smoke clean
+.PHONY: all check vet build test race lint guestlint bench bench-json bench-diff bench-selftest docs docscheck fleet-smoke fuzz-smoke clean
 
 all: check race
 
@@ -64,12 +64,22 @@ docscheck:
 	done; exit $$fail
 
 # Fleet service smoke: a 256-machine fleetload run (FLEET.md). Exercises
-# the sharded round loop, placement, alert collection, and the shared
-# block cache end to end, and prints the service-level benchjson record
+# the sharded round loop, placement, alert collection, and the per-core
+# block caches end to end, and prints the service-level benchjson record
 # (hosts_per_second, alert latency, per-shard busy fractions). Scaled so
 # it finishes in well under a minute on one CI core.
 fleet-smoke:
 	$(GO) run ./cmd/fleetload -machines 256 -duration 4s -round 500ms -period 3s
+
+# Fuzz smoke: run every native fuzz target for 10 s (about a minute in
+# all). `go test -fuzz` takes one target per run, so they are listed
+# explicitly; add new Fuzz* functions here.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzExecutorNeverPanics$$' -fuzztime 10s ./internal/cpu
+	$(GO) test -run '^$$' -fuzz '^FuzzBlockDifferential$$' -fuzztime 10s ./internal/cpu
+	$(GO) test -run '^$$' -fuzz '^FuzzAssemble$$' -fuzztime 10s ./internal/isa
+	$(GO) test -run '^$$' -fuzz '^FuzzWorkloadSpec$$' -fuzztime 10s ./internal/fleet
+	$(GO) test -run '^$$' -fuzz '^FuzzProcFSWrite$$' -fuzztime 10s ./internal/kernel
 
 # End-to-end benchmark harness self-test. perfbench/ is its own module
 # (replacing darkarts with ../), so `go build ./...` never compiles it;

@@ -78,7 +78,7 @@ func run(args []string) error {
 
 	// Submission schedule: deterministic in (machines, procs, miner-every,
 	// seed). Apps dominate; every 4th benign slot is a catalog ISA program
-	// so the shared decoded-block cache sees real decode traffic.
+	// so the fast engine's block caches see real decode traffic.
 	apps := workload.TableIIApps()
 	catalog := f.Catalog()
 	tasks := 0
@@ -177,8 +177,6 @@ func report(f *fleet.Fleet, wall time.Duration, tasks int) []result {
 			if mt.Value > 0 {
 				m["alert_latency_ms_avg"] = float64(mt.Sum) / float64(mt.Value)
 			}
-		case "fleet_bbcache_shared_hits_total":
-			m["bbcache_shared_hits"] = float64(mt.Value)
 		case "fleet_steals_total":
 			m["steal_total"] = float64(mt.Value)
 		case "fleet_fastforward_rounds_total":

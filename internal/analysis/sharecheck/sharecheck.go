@@ -2,10 +2,9 @@
 // machines are constructed or mutated inside a loop, any pointer-like
 // value that ends up reachable from more than one Machine couples the
 // fleet — a write through one machine is visible from another, which
-// breaks per-machine determinism and snapshot isolation. The only
-// legitimately shared structures are the ones on Whitelist (the
-// read-mostly translated-block pool and the fleet-wide microcode tag
-// table); everything else is a diagnostic.
+// breaks per-machine determinism and snapshot isolation. Structures on
+// Whitelist may be shared; it is empty, since every machine builds its
+// own tag table and block caches. Everything else is a diagnostic.
 //
 // Detection rides the taint engine's provenance summaries
 // (internal/analysis/taint.go) and looks at calls inside for/range
@@ -46,10 +45,7 @@ var Scope = analysis.SimPackages
 // Whitelist names the types that may be shared across the machines of
 // a fleet, as pkgpath.TypeName suffixes matched after unwrapping
 // pointers, containers, and atomic.Pointer[T].
-var Whitelist = []string{
-	"internal/cpu.SharedBlocks",
-	"internal/microcode.TagTable",
-}
+var Whitelist []string
 
 // Analyzer is the sharecheck analyzer.
 var Analyzer = &analysis.Analyzer{

@@ -15,10 +15,13 @@ import (
 // within a straight-line region, so the block cache decodes each program
 // once into basic blocks — maximal straight-line instruction runs ending at
 // a control transfer, HALT, or faultable op — and pre-computes, per block,
-// the RSX count and per-opcode histogram increments under the current tag
-// table. Executing a cached block then hoists PC and flag bookkeeping out of
-// the instruction loop and retires the whole block with one batched counter
-// update.
+// the RSX count under the current tag table. Executing a cached block then
+// hoists PC and flag bookkeeping out of the instruction loop and retires the
+// whole block with one batched counter update.
+//
+// The cache is core-private and is the only level of decoded-block caching:
+// each core decodes its own blocks, and machines share nothing but the
+// immutable program images themselves.
 //
 // Pre-counts are only valid for the tag table they were computed under, so
 // they are keyed by the table's generation number (microcode.TagTable.Gen):
@@ -72,14 +75,6 @@ type BBStats struct {
 	LenSum    uint64
 }
 
-// opCount is one per-opcode histogram increment baked into a block.
-//
-//cryptojack:derived
-type opCount struct {
-	op isa.Op
-	n  uint64
-}
-
 // bbBlock is one decoded basic block with its pre-computed retire effects.
 //
 //cryptojack:derived
@@ -94,9 +89,6 @@ type bbBlock struct {
 	// count with one popcount instead of re-walking the tag table.
 	rsx     uint64
 	tagMask uint64
-	// hist is the per-opcode retire histogram for a full block, applied
-	// only when characterization counters are enabled.
-	hist []opCount
 }
 
 // blockCache is a core's private translation cache. All state is owned by
@@ -165,6 +157,22 @@ type TraceStats struct {
 // next benchmark change.
 func (c *Core) TraceCacheStats() TraceStats { return TraceStats{} }
 
+// SharedBlocksStats is the counter set of the deleted fleet-scope shared
+// block cache. Compatibility pin: read by perfbench/fleetwl.go
+// (fleet.shared_bb_hit_frac, always 0); delete at the next benchmark change.
+type SharedBlocksStats struct {
+	Hits, Misses uint64
+}
+
+// SharedBlocks is the empty remnant of the deleted fleet-scope shared block
+// cache: every core decodes its own blocks. Compatibility pin for
+// perfbench/fleetwl.go; delete at the next benchmark change.
+type SharedBlocks struct{}
+
+// Stats always returns zero counters, also on a nil receiver. Compatibility
+// pin for perfbench/fleetwl.go; delete at the next benchmark change.
+func (*SharedBlocks) Stats() SharedBlocksStats { return SharedBlocksStats{} }
+
 // invalidate drops every cached block (capacity eviction). The
 // drop is counted only if there was something to drop, so cold starts do
 // not report an invalidation.
@@ -211,17 +219,10 @@ func buildBlock(code []isa.Inst, pc int, tags *microcode.TagTable) *bbBlock {
 		}
 	}
 	blk := &bbBlock{ops: code[pc:end:end], pc: pc}
-	var perOp [isa.NumOps]uint64
 	for i, in := range blk.ops {
 		if tags.Tagged(in.Op) {
 			blk.rsx++
 			blk.tagMask |= 1 << uint(i)
-		}
-		perOp[in.Op]++
-	}
-	for op, n := range perOp {
-		if n > 0 {
-			blk.hist = append(blk.hist, opCount{op: isa.Op(op), n: n})
 		}
 	}
 	return blk
@@ -262,10 +263,7 @@ func (c *Core) runFastBlocks(maxInsts uint64) uint64 {
 		blk := blocks[pc]
 		if blk == nil {
 			c.bb.stats.Misses++
-			if blk = c.shared.get(ctx.Prog, gen, pc); blk == nil {
-				blk = buildBlock(code, pc, tags)
-				c.shared.put(ctx.Prog, gen, pc, blk)
-			}
+			blk = buildBlock(code, pc, tags)
 			blocks[pc] = blk
 		} else {
 			c.bb.stats.Hits++
@@ -276,8 +274,8 @@ func (c *Core) runFastBlocks(maxInsts uint64) uint64 {
 			// Full block: batched pre-counted retire.
 			rsx += blk.rsx
 			if characterizing {
-				for _, h := range blk.hist {
-					c.bank.AddOpCount(h.op, h.n)
+				for _, in := range blk.ops {
+					c.bank.CountOp(in.Op)
 				}
 			}
 		} else {

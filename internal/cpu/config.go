@@ -54,12 +54,6 @@ type Config struct {
 	// (cache enabled) is the production configuration; the knob exists for
 	// differential testing and A/B benchmarks.
 	NoBlockCache bool
-	// SharedBlocks, when non-nil, lets this machine's cores share decoded
-	// basic blocks with every other machine wired to the same cache
-	// (sharedbb.go). Fleets pass one process-wide cache so a program image
-	// is decoded once per tag-table generation instead of once per core
-	// per machine; nil keeps decoding fully core-private.
-	SharedBlocks *SharedBlocks
 }
 
 // DefaultConfig returns the Table I machine in fast mode.

@@ -74,10 +74,8 @@ type Core struct {
 	tlb memTLB // cryptojack:derived
 
 	// bb is the per-core basic-block translation cache (fast mode only;
-	// see bbcache.go). shared, when non-nil, is the fleet-scope decoded-
-	// block cache consulted on local misses (sharedbb.go).
-	bb     blockCache    // cryptojack:derived
-	shared *SharedBlocks // cryptojack:derived -- fleet-scope decode cache, rebuildable
+	// see bbcache.go).
+	bb blockCache // cryptojack:derived
 
 	// Detailed-mode timing state (see timing.go).
 	tm timing

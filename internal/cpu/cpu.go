@@ -44,13 +44,12 @@ func New(cfg Config) (*CPU, error) {
 	c.tags.Store(microcode.RSX())
 	for i := 0; i < cfg.Cores; i++ {
 		core := &Core{
-			id:     i,
-			cfg:    cfg,
-			mem:    m,
-			hier:   hier,
-			bank:   counters.New(cfg.Characterize),
-			tags:   &c.tags,
-			shared: cfg.SharedBlocks,
+			id:   i,
+			cfg:  cfg,
+			mem:  m,
+			hier: hier,
+			bank: counters.New(cfg.Characterize),
+			tags: &c.tags,
 		}
 		if cfg.Mode == ModeDetailed {
 			core.tm.init(cfg)

@@ -81,21 +81,27 @@ func (w *statusWriter) WriteHeader(code int) {
 }
 
 // instrument wraps a handler with per-route request counting, latency
-// observation, and 4xx/5xx accounting.
+// observation, and 4xx/5xx accounting. A handler panic is recovered and
+// answered with a 500, so one bad request cannot take the server down.
 func (f *Fleet) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	ctr := f.om.apiCounter(route)
 	return func(w http.ResponseWriter, r *http.Request) {
 		//lint:ignore determinism request wall-clock timing feeds the API latency histogram only, never simulation state
 		t0 := time.Now()
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		h(sw, r)
-		ctr.Inc()
-		if f.om != nil {
-			f.om.apiNs.Observe(uint64(time.Since(t0)))
-			if sw.status >= 400 {
-				f.om.apiErrors.Inc()
+		defer func() {
+			if recover() != nil {
+				writeJSON(sw, http.StatusInternalServerError, apiError{Error: "internal error"})
 			}
-		}
+			ctr.Inc()
+			if f.om != nil {
+				f.om.apiNs.Observe(uint64(time.Since(t0)))
+				if sw.status >= 400 {
+					f.om.apiErrors.Inc()
+				}
+			}
+		}()
+		h(sw, r)
 	}
 }
 

@@ -163,6 +163,28 @@ func TestAPIErrors(t *testing.T) {
 	}
 }
 
+// TestAPIRecoversPanic: a panicking handler answers 500 with the JSON
+// error envelope and is counted in fleet_api_errors_total.
+func TestAPIRecoversPanic(t *testing.T) {
+	f, err := New(testConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := f.instrument("panic", func(http.ResponseWriter, *http.Request) { panic("boom") })
+	rec := httptest.NewRecorder()
+	h(rec, httptest.NewRequest(http.MethodGet, "/api/v1/panic", nil))
+	if rec.Code != http.StatusInternalServerError {
+		t.Errorf("status = %d, want 500", rec.Code)
+	}
+	var e apiError
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
+		t.Errorf("body %q is not an apiError (%v)", rec.Body.String(), err)
+	}
+	if n, _ := f.Obs().Value("fleet_api_errors_total", ""); n != 1 {
+		t.Errorf("fleet_api_errors_total = %v, want 1", n)
+	}
+}
+
 func jsonUint(v uint64) string {
 	b, _ := json.Marshal(v)
 	return string(b)

@@ -8,10 +8,8 @@
 // across shard counts and across runs for the same seed and submission
 // schedule. Tenants submit workloads through the HTTP/JSON API (Handler);
 // placement records which thread groups belong to which tenant so alert
-// reads can be scoped per tenant. The only cross-machine structure is the
-// read-mostly fleet-scope decoded-block cache (cpu.SharedBlocks), whose
-// immutable entries let one machine's decode work serve every machine
-// running the same program image.
+// reads can be scoped per tenant. Machines share only the immutable
+// program images of the ISA catalog; each core decodes its own blocks.
 //
 // FLEET.md documents the architecture; OBSERVABILITY.md catalogs the
 // fleet_* metrics; cmd/fleetload drives load at fleet scale.

@@ -31,8 +31,7 @@ type Config struct {
 	// into the fleet stream at the barrier, so Round bounds both alert
 	// staleness and submission-placement latency.
 	Round time.Duration
-	// Machine is the per-host template. The fleet overrides ID per slot
-	// and wires the shared decoded-block cache into CPU.SharedBlocks;
+	// Machine is the per-host template. The fleet overrides ID per slot;
 	// everything else is taken as-is. The default template turns machine-
 	// local observability and intra-machine parallelism off — the fleet
 	// parallelizes across machines and observes at fleet scope.
@@ -48,10 +47,6 @@ type Config struct {
 	// Obs is the fleet-level metrics registry (fleet_* catalog in
 	// OBSERVABILITY.md); nil disables fleet instrumentation.
 	Obs *obs.Registry
-	// NoSharedBlocks keeps every core's decoded-block cache private
-	// (the pre-fleet behaviour). The zero value shares one process-wide
-	// cache across all member machines.
-	NoSharedBlocks bool
 	// NoFastForward forces per-quantum simulation on every machine every
 	// round. The zero value lets quiescent machines (idle, or purely
 	// rate-model) advance analytically via Machine.FastForward — a pure
@@ -80,9 +75,8 @@ const (
 )
 
 // DefaultConfig returns a fleet template: n machines, auto shards, 1s
-// rounds, fleet-scope block sharing, and a machine template with the
-// Table I hardware, serial in-machine scheduling, and no per-machine
-// metrics registry.
+// rounds, and a machine template with the Table I hardware, serial
+// in-machine scheduling, and no per-machine metrics registry.
 func DefaultConfig(n int) Config {
 	m := machine.DefaultOptions()
 	m.Kernel.Parallel = false
@@ -169,15 +163,14 @@ type worker struct {
 // Machine.FastForward), and flush per-machine alert batches into one
 // canonically ordered fleet stream at every round barrier.
 //
-// Determinism: machines are mutually independent (the only shared
-// structure, the decoded-block cache, is content-deterministic and
-// read-mostly), every machine is claimed by exactly one worker per round,
-// and the barrier drains batches in machine-ID order — so the alert
-// stream is bit-identical across worker counts, steal schedules, and
-// fast-forward on/off. Submissions placed while the fleet is quiescent
-// (before Run, or between Run calls) are part of that guarantee;
-// submissions during a running round land immediately and are placed
-// best-effort relative to it.
+// Determinism: machines are mutually independent (they share only
+// immutable program images), every machine is claimed by exactly one
+// worker per round, and the barrier drains batches in machine-ID order —
+// so the alert stream is bit-identical across worker counts, steal
+// schedules, and fast-forward on/off. Submissions placed while the fleet
+// is quiescent (before Run, or between Run calls) are part of that
+// guarantee; submissions during a running round land immediately and are
+// placed best-effort relative to it.
 //
 // Run must be driven from one goroutine at a time. Submit, AlertsSince,
 // Members, and the API handlers are safe to call concurrently with Run.
@@ -185,7 +178,6 @@ type Fleet struct {
 	cfg     Config
 	members []*Member
 	workers []*worker // cryptojack:hostonly -- worker pool, result-invariant
-	shared  *cpu.SharedBlocks
 	om      *fmetrics // cryptojack:hostonly
 
 	// Scheduler test hooks (sched_test.go): hookRoundStart delays chosen
@@ -217,7 +209,7 @@ type Fleet struct {
 	rounds   uint64
 }
 
-// New builds the fleet: machines, shard partition, shared block cache.
+// New builds the fleet: machines and shard partition.
 func New(cfg Config) (*Fleet, error) {
 	if cfg.Machines < 1 {
 		return nil, fmt.Errorf("fleet: machines = %d", cfg.Machines)
@@ -246,21 +238,6 @@ func New(cfg Config) (*Fleet, error) {
 		owners:  map[tenantKey]string{},
 		tenants: map[string]int{},
 	}
-	if !cfg.NoSharedBlocks {
-		f.shared = cpu.NewSharedBlocks()
-	}
-	// One decoder tag table for the whole fleet: block-cache keys include
-	// the table's unique generation, so per-machine tables would make
-	// cross-machine sharing structurally impossible (every machine a
-	// different generation). The table is immutable, so sharing one
-	// instance adds no cross-machine ordering.
-	if cfg.Machine.TagTable == nil {
-		table, err := machine.TagTableByName(cfg.Machine.TagSet)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Machine.TagTable = table
-	}
 	if cfg.Obs != nil {
 		f.om = newFMetrics(cfg.Obs, cfg.Shards)
 		f.om.workers.Set(int64(cfg.Shards))
@@ -268,7 +245,6 @@ func New(cfg Config) (*Fleet, error) {
 	for i := 0; i < cfg.Machines; i++ {
 		opts := cfg.Machine
 		opts.ID = i
-		opts.CPU.SharedBlocks = f.shared
 		m, err := machine.New(opts)
 		if err != nil {
 			return nil, fmt.Errorf("fleet machine %d: %w", i, err)
@@ -309,9 +285,10 @@ func (f *Fleet) Config() Config { return f.cfg }
 // shared, do not mutate).
 func (f *Fleet) Members() []*Member { return f.members }
 
-// SharedBlocks returns the fleet-scope decoded-block cache (nil when
-// sharing is disabled).
-func (f *Fleet) SharedBlocks() *cpu.SharedBlocks { return f.shared }
+// SharedBlocks always returns nil: the fleet-scope shared block cache is
+// deleted and every core decodes its own blocks. Compatibility pin for
+// perfbench/fleetwl.go; delete at the next benchmark change.
+func (f *Fleet) SharedBlocks() *cpu.SharedBlocks { return nil }
 
 // Obs returns the fleet-level metrics registry (nil when disabled).
 func (f *Fleet) Obs() *obs.Registry { return f.cfg.Obs }
@@ -449,7 +426,6 @@ func (f *Fleet) round(step time.Duration) {
 		}
 		f.om.steals.Add(steals)
 		f.om.ffRounds.Add(ffRounds)
-		f.om.observeShared(f.shared.Stats())
 	}
 }
 
@@ -536,7 +512,9 @@ func (f *Fleet) AlertsSince(since uint64, tenant string, limit int) (alerts []Al
 		since = f.baseSeq
 	}
 	next = since
-	for _, a := range f.stream[min(int(since-f.baseSeq), len(f.stream)):] {
+	// Clamp in uint64: a cursor far past the tip would wrap negative as
+	// an int.
+	for _, a := range f.stream[min(since-f.baseSeq, uint64(len(f.stream))):] {
 		next = a.Seq + 1
 		if tenant != "" && a.Tenant != tenant {
 			continue

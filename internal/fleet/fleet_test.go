@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -71,40 +72,6 @@ func TestFleetDeterminismAcrossShards(t *testing.T) {
 			t.Errorf("shards=%d: alert stream diverged from shards=1\n got %+v\nwant %+v",
 				shards, got, want)
 		}
-	}
-}
-
-// TestFleetDeterminismSharedBlocks verifies the shared decoded-block cache
-// is invisible to results: streams match with sharing on and off.
-func TestFleetDeterminismSharedBlocks(t *testing.T) {
-	var want []Alert
-	for _, noShare := range []bool{false, true} {
-		cfg := testConfig(6)
-		cfg.Shards = 2
-		cfg.NoSharedBlocks = noShare
-		f, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seedWorkloads(t, f)
-		f.Run(5 * time.Second)
-		got := f.AlertStream()
-		if noShare {
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("shared-blocks cache changed the alert stream\n got %+v\nwant %+v", got, want)
-			}
-			if f.SharedBlocks() != nil {
-				t.Error("NoSharedBlocks fleet still built a shared cache")
-			}
-		} else {
-			want = got
-			if s := f.SharedBlocks().Stats(); s.Published == 0 {
-				t.Error("sharing enabled but no blocks were published")
-			}
-		}
-	}
-	if len(want) == 0 {
-		t.Fatal("no alerts to compare")
 	}
 }
 
@@ -197,6 +164,12 @@ func TestAlertsSince(t *testing.T) {
 		t.Errorf("tip read = (%d alerts, next %d, trimmed %d), want (0, %d, 0)",
 			len(more), next2, trimmed2, next)
 	}
+	// A cursor far past the tip reads nothing and stays put.
+	far, next3, trimmed3 := f.AlertsSince(math.MaxUint64, "", 100)
+	if len(far) != 0 || trimmed3 != 0 || next3 != math.MaxUint64 {
+		t.Errorf("far read = (%d alerts, next %d, trimmed %d), want (0, %d, 0)",
+			len(far), next3, trimmed3, uint64(math.MaxUint64))
+	}
 	// Tenant scoping: every retained alert belongs to the attacker here,
 	// and an unknown tenant sees nothing.
 	scoped, _, _ := f.AlertsSince(0, "attacker", 100)
@@ -282,8 +255,6 @@ func TestFleetObsRegistered(t *testing.T) {
 		"fleet_alerts_total", "fleet_alert_batches_total",
 		"fleet_alerts_dropped_total", "fleet_alert_latency_ms",
 		"fleet_submissions_total", "fleet_tenants", "fleet_tasks_placed_total",
-		"fleet_bbcache_shared_hits_total", "fleet_bbcache_shared_misses_total",
-		"fleet_bbcache_shared_published_total", "fleet_bbcache_shared_evictions_total",
 		"fleet_api_requests_total", "fleet_api_errors_total", "fleet_api_request_ns",
 	} {
 		if !names[want] {

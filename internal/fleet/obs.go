@@ -3,7 +3,6 @@ package fleet
 import (
 	"strconv"
 
-	"darkarts/internal/cpu"
 	"darkarts/internal/obs"
 )
 
@@ -43,12 +42,6 @@ type fmetrics struct {
 	tenants      *obs.Gauge
 	tasksPlaced  *obs.Counter
 
-	sharedHits  *obs.Counter
-	sharedMiss  *obs.Counter
-	sharedPub   *obs.Counter
-	sharedEvict *obs.Counter
-	sharedLast  cpu.SharedBlocksStats
-
 	gsaAnalyzed *obs.Counter
 	gsaFlagged  *obs.Counter
 	gsaRejected *obs.Counter
@@ -86,14 +79,6 @@ func newFMetrics(reg *obs.Registry, shards int) *fmetrics {
 			Unit: "tenants", Help: "distinct tenants with at least one placed workload"}),
 		tasksPlaced: reg.Counter(obs.Desc{Name: "fleet_tasks_placed_total", Layer: obs.LayerFleet,
 			Unit: "tasks", Help: "kernel tasks created by fleet workload placement (threads included)"}),
-		sharedHits: reg.Counter(obs.Desc{Name: "fleet_bbcache_shared_hits_total", Layer: obs.LayerFleet,
-			Unit: "blocks", Help: "decoded-block fetches served by the fleet-scope shared cache (decodes avoided)"}),
-		sharedMiss: reg.Counter(obs.Desc{Name: "fleet_bbcache_shared_misses_total", Layer: obs.LayerFleet,
-			Unit: "blocks", Help: "shared-cache lookups that fell through to a core-local decode"}),
-		sharedPub: reg.Counter(obs.Desc{Name: "fleet_bbcache_shared_published_total", Layer: obs.LayerFleet,
-			Unit: "blocks", Help: "locally decoded blocks published into the shared cache"}),
-		sharedEvict: reg.Counter(obs.Desc{Name: "fleet_bbcache_shared_evictions_total", Layer: obs.LayerFleet,
-			Unit: "evictions", Help: "whole shared-cache drops at the capacity bound"}),
 		gsaAnalyzed: reg.Counter(obs.Desc{Name: "gsa_analyzed_total", Layer: obs.LayerFleet,
 			Unit: "programs", Help: "program submissions screened by guest static analysis at admission"}),
 		gsaFlagged: reg.Counter(obs.Desc{Name: "gsa_flagged_total", Layer: obs.LayerFleet,
@@ -130,14 +115,4 @@ func (m *fmetrics) apiCounter(route string) *obs.Counter {
 	return m.reg.Counter(obs.Desc{Name: "fleet_api_requests_total",
 		Label: obs.Label("route", route), Layer: obs.LayerFleet,
 		Unit: "requests", Help: "fleet API requests served, by route"})
-}
-
-// observeShared folds the shared block cache's counter deltas since the
-// last barrier into the fleet registry.
-func (m *fmetrics) observeShared(s cpu.SharedBlocksStats) {
-	m.sharedHits.Add(s.Hits - m.sharedLast.Hits)
-	m.sharedMiss.Add(s.Misses - m.sharedLast.Misses)
-	m.sharedPub.Add(s.Published - m.sharedLast.Published)
-	m.sharedEvict.Add(s.Evictions - m.sharedLast.Evictions)
-	m.sharedLast = s
 }

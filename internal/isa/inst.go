@@ -130,7 +130,7 @@ const InstBytes = 4
 //
 // Programs are write-once: the assembler/builder fills them in and
 // nothing mutates them after a machine starts executing, which is what
-// lets cores, the shared block cache, and whole fleets alias one image.
+// lets cores, their block caches, and whole fleets alias one image.
 //
 //cryptojack:immutable
 type Program struct {

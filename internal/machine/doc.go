@@ -8,10 +8,8 @@
 // of mutable simulation state (task lists, counters, RSX windows, caches,
 // simulated clock) hangs off the Machine instance, so a process can run
 // thousands of them concurrently (package fleet) with no cross-machine
-// synchronization. The single deliberate sharing point is the read-mostly
-// fleet-scope decoded-block cache (cpu.SharedBlocks) a fleet wires into
-// every member's cpu.Config — its entries are immutable, so it too adds no
-// ordering between machines.
+// synchronization. Machines share only the immutable program images they
+// run; every core decodes and caches its own basic blocks.
 //
 // A Machine is also the single-host entry point, assembling the paper's
 // cross-stack defense (Figure 3): the decoder's RSX tags and retirement

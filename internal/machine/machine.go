@@ -26,12 +26,6 @@ type Options struct {
 	// TagSet selects the decoder tag table: "rsx" (default), "rsxo", or
 	// "rotate-only" (ablation).
 	TagSet string
-	// TagTable, when non-nil, is installed instead of a table freshly
-	// built from TagSet. Decoded-block cache keys include the table's
-	// unique generation number, so a fleet passes one shared (immutable)
-	// table to every member — otherwise each machine's generation differs
-	// and the fleet-scope block cache can never hit across machines.
-	TagTable *microcode.TagTable
 	// ID is an owner-assigned machine identity (fleet slot). It has no
 	// simulation effect; it only labels the machine in summaries.
 	ID int
@@ -51,10 +45,9 @@ func DefaultOptions() Options {
 // Machine is one self-contained simulated host: its own CPU (cores, memory,
 // tag table), its own kernel (tasks, scheduler, detection state, procfs),
 // and its own observability scope. Machines share no mutable state with
-// each other — the only cross-machine structure is the read-mostly decoded-
-// block cache a fleet may wire in through CPU.SharedBlocks, whose contents
-// are immutable — so any number of Machines advance concurrently from
-// different goroutines without synchronization.
+// each other — at most the immutable program images they run — so any
+// number of Machines advance concurrently from different goroutines without
+// synchronization.
 //
 // A Machine must be driven (Run/RunUntilAlert) from one goroutine at a
 // time; the kernel's copy-on-read accessors (Alerts, Tasks, Now, procfs
@@ -75,12 +68,9 @@ func New(opts Options) (*Machine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("machine: %w", err)
 	}
-	table := opts.TagTable
-	if table == nil {
-		table, err = TagTableByName(opts.TagSet)
-		if err != nil {
-			return nil, err
-		}
+	table, err := tagTableByName(opts.TagSet)
+	if err != nil {
+		return nil, err
 	}
 	update := microcode.FirmwareUpdate{Version: 1, Table: table}
 	if err := update.Apply(c); err != nil {
@@ -90,10 +80,9 @@ func New(opts Options) (*Machine, error) {
 	return &Machine{id: opts.ID, cpu: c, kern: k, nextBase: 0x1000_0000}, nil
 }
 
-// TagTableByName builds the named decoder tag table. Each call returns a
-// fresh table with its own generation; callers that want cross-machine
-// block sharing must build once and pass the same table to every machine.
-func TagTableByName(name string) (*microcode.TagTable, error) {
+// tagTableByName builds the named decoder tag table. Each call returns a
+// fresh table with its own generation.
+func tagTableByName(name string) (*microcode.TagTable, error) {
 	switch name {
 	case "", "rsx":
 		return microcode.RSX(), nil
@@ -125,7 +114,7 @@ func (m *Machine) Obs() *obs.Registry { return m.kern.Obs() }
 // UpdateMicrocode installs a new decoder tag table through the firmware
 // update path (e.g. switching RSX -> RSXO in the field).
 func (m *Machine) UpdateMicrocode(version uint32, tagSet string) error {
-	table, err := TagTableByName(tagSet)
+	table, err := tagTableByName(tagSet)
 	if err != nil {
 		return err
 	}

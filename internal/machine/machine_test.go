@@ -68,36 +68,6 @@ func TestMachinesIndependent(t *testing.T) {
 	}
 }
 
-// TestMachineSharedTagTable: two machines built around one TagTable
-// instance report the same generation to their decode stages (the fleet
-// block-sharing prerequisite), while separately built machines do not.
-func TestMachineSharedTagTable(t *testing.T) {
-	table, err := TagTableByName("rsx")
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := testOptions()
-	opts.TagTable = table
-	a, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ag, bg := a.CPU().TagTable().Gen(), b.CPU().TagTable().Gen(); ag != bg {
-		t.Fatalf("shared-table machines have generations %d and %d", ag, bg)
-	}
-	c, err := New(testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cg := c.CPU().TagTable().Gen(); cg == a.CPU().TagTable().Gen() {
-		t.Fatal("separately built machines unexpectedly share a generation")
-	}
-}
-
 // TestMachineBadTagSet: construction validates the tag set.
 func TestMachineBadTagSet(t *testing.T) {
 	opts := testOptions()
