@@ -80,6 +80,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzAssemble$$' -fuzztime 10s ./internal/isa
 	$(GO) test -run '^$$' -fuzz '^FuzzWorkloadSpec$$' -fuzztime 10s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz '^FuzzProcFSWrite$$' -fuzztime 10s ./internal/kernel
+	$(GO) test -run '^$$' -fuzz '^FuzzAnalyze$$' -fuzztime 10s ./internal/gsa
 
 # End-to-end benchmark harness self-test. perfbench/ is its own module
 # (replacing darkarts with ../), so `go build ./...` never compiles it;

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -57,9 +58,21 @@ func TestRunFleetCleanIsQuiet(t *testing.T) {
 	}
 }
 
-// TestRunFleetBadFlags: fleet mode still validates shared flags.
+// TestRunFleetBadFlags: fleet mode still validates shared flags, and
+// bounds -period too, so -period 0 cannot silently drop -threshold.
 func TestRunFleetBadFlags(t *testing.T) {
-	if err := run([]string{"-fleet", "4", "-tags", "bogus", "-duration", "1s"}); err == nil {
-		t.Error("bogus tag set accepted in fleet mode")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-tags", "bogus"}, "bogus"},
+		{[]string{"-period", "0", "-threshold", "1000"}, "-period"},
+		{[]string{"-period", "100us"}, "-period"},
+		{[]string{"-period", "-1s"}, "-period"},
+	} {
+		err := run(append([]string{"-fleet", "4", "-duration", "1s"}, tc.args...))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err = %v, want an error naming %q", tc.args, err, tc.want)
+		}
 	}
 }

@@ -62,6 +62,14 @@ func run(args []string) error {
 	if !*obsOn && (*httpAddr != "" || *metricsJSON != "") {
 		return fmt.Errorf("-http and -metrics-json need metrics; drop -obs=false")
 	}
+	// Bound -period as a procfs write to period_ms is bounded. Without the
+	// check a non-positive period would make kernel.New swap in the default
+	// tunables wholesale, dropping -threshold with it.
+	tun := kernel.DefaultTunables()
+	tun.Period = *period
+	if err := tun.CheckWindow(); err != nil {
+		return fmt.Errorf("-period: %w", err)
+	}
 	if *fleetN > 0 {
 		return runFleet(fleetFlags{
 			machines: *fleetN, shards: *shards, round: *round, minerEvery: *minerEvery,

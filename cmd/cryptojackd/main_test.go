@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestRunInfectedDetects(t *testing.T) {
 	err := run([]string{"-duration", "90s", "-period", "30s", "-threads", "4"})
@@ -22,11 +25,23 @@ func TestRunZcashRSXO(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadFlags: bad flag values fail before any simulation.
+// -period is bounded like a procfs write to period_ms, so windows under
+// 1ms, static-prior ones included, are refused.
 func TestRunRejectsBadFlags(t *testing.T) {
-	if err := run([]string{"-tags", "bogus", "-duration", "1s"}); err == nil {
-		t.Error("bogus tag set accepted")
-	}
-	if err := run([]string{"-nope"}); err == nil {
-		t.Error("unknown flag accepted")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-tags", "bogus", "-duration", "1s"}, "bogus"},
+		{[]string{"-nope"}, "-nope"},
+		{[]string{"-period", "100us", "-duration", "1s"}, "-period"},
+		{[]string{"-period", "-1s", "-duration", "1s"}, "-period"},
+		{[]string{"-period", "0", "-duration", "1s"}, "-period"},
+		{[]string{"-period", "3ms", "-duration", "1s"}, "-period"},
+	} {
+		if err := run(tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err = %v, want an error naming %q", tc.args, err, tc.want)
+		}
 	}
 }

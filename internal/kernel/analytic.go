@@ -21,44 +21,6 @@ type AnalyticWorkload interface {
 	RunSlices(core *cpu.Core, d time.Duration, n int)
 }
 
-// Quiescence classifies the kernel's runnable set for fast-forward
-// decisions. The probe is advisory: FastForward re-checks eligibility
-// itself (including whether the slice plan covers every runnable task).
-type Quiescence int
-
-// Quiescence levels.
-const (
-	// QuiesceBusy: at least one runnable task needs per-quantum simulation
-	// (ISA-backed or otherwise non-analytic).
-	QuiesceBusy Quiescence = iota
-	// QuiesceIdle: the runnable set is empty; time advances for free.
-	QuiesceIdle
-	// QuiesceRate: every runnable task is a rate model (AnalyticWorkload).
-	QuiesceRate
-)
-
-// Quiescence reports the current runnable-set class. Safe to call
-// concurrently with a running simulation.
-func (k *Kernel) Quiescence() Quiescence {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	idle := true
-	for i := k.runqHead; i < len(k.runq); i++ {
-		t := k.runq[i]
-		if t.exited {
-			continue
-		}
-		idle = false
-		if _, ok := t.workload.(AnalyticWorkload); !ok || t.workload.Done() {
-			return QuiesceBusy
-		}
-	}
-	if idle {
-		return QuiesceIdle
-	}
-	return QuiesceRate
-}
-
 // FastForward advances the simulation by d of simulated time without
 // per-quantum dispatch, iff the whole span can be advanced analytically:
 // the runnable set is empty (time moves for free) or purely rate-model
@@ -68,9 +30,9 @@ func (k *Kernel) Quiescence() Quiescence {
 // analytic_test.go hold the two paths to equality field by field.
 //
 // It returns false — leaving all state untouched — when the span needs
-// per-quantum simulation (ISA work queued, an oversubscribed plan, a
+// per-quantum simulation (ISA work queued, an oversubscribed plan, or a
 // machine-local metrics registry whose per-quantum observations would be
-// skipped, or a parked deferred merge). Callers fall back to Run.
+// skipped). Callers fall back to Run.
 //
 // Alert callbacks fire after the whole span, in alert order (Run fires
 // them per quantum; the order, which is all the fleet barrier consumes,
@@ -95,9 +57,6 @@ func (k *Kernel) FastForward(d time.Duration) bool {
 //
 //cryptojack:locked
 func (k *Kernel) fastForwardLocked(end time.Duration) bool {
-	if k.pendingMerge {
-		return false
-	}
 	ts := k.cfg.TimeSlice
 	if k.now >= end {
 		return true
@@ -168,8 +127,8 @@ func (k *Kernel) fastForwardLocked(end time.Duration) bool {
 			continue
 		}
 		// Crossing quantum: simulate it exactly.
-		k.runPlanSerial()
-		k.accountPlan(k.plan, k.deltas, k.now+ts)
+		k.executePlan()
+		k.accountPlan()
 		k.now += ts
 		remaining--
 	}

@@ -111,23 +111,30 @@ func requireIdentical(t *testing.T, serial, parallel snapshot) {
 
 // TestParallelMatchesSerial is the differential proof: the same mixed
 // scenario (apps + miner threads + ISA program) run serial and parallel
-// must yield byte-identical alert streams and equal counter totals.
+// must yield byte-identical alert streams and equal counter totals. The
+// OnAlert callbacks must also arrive at the same simulated instant in
+// both modes: in the quantum that raised the alert.
 func TestParallelMatchesSerial(t *testing.T) {
-	run := func(parallel bool) snapshot {
+	run := func(parallel bool) (snapshot, []time.Duration) {
 		k := newTestKernel(t, parallel)
 		populate(t, k)
 		if got := k.ParallelActive(); got != parallel {
 			t.Fatalf("ParallelActive() = %v, want %v", got, parallel)
 		}
+		var lags []time.Duration
+		k.OnAlert(func(a kernel.Alert) { lags = append(lags, k.Now()-a.Time) })
 		k.Run(5 * time.Second)
-		return snap(k)
+		return snap(k), lags
 	}
-	serial := run(false)
-	par := run(true)
+	serial, serialLags := run(false)
+	par, parLags := run(true)
 	if len(serial.Alerts) == 0 {
 		t.Fatal("scenario raised no alerts; differential test is vacuous")
 	}
 	requireIdentical(t, serial, par)
+	if !reflect.DeepEqual(serialLags, parLags) {
+		t.Errorf("OnAlert delivery lag (Now - alert time) differs:\nserial:   %v\nparallel: %v", serialLags, parLags)
+	}
 }
 
 // TestParallelZeroRunnableTasks: an empty kernel must advance time
@@ -337,10 +344,8 @@ func BenchmarkParallelQuantum(b *testing.B) {
 			}
 			quanta, _ := reg.Value("sched_quanta_total", "")
 			wait, _ := reg.Value("sched_merge_wait_ns_total", "")
-			overlap, _ := reg.Value("sched_merge_overlap_ns_total", "")
 			if quanta > 0 {
 				b.ReportMetric(wait/quanta/1e3, "merge_wait_us/q")
-				b.ReportMetric(overlap/quanta/1e3, "merge_overlap_us/q")
 			}
 		})
 	}

@@ -78,6 +78,12 @@ func checkWindow(period time.Duration, div uint64) error {
 	return nil
 }
 
+// CheckWindow returns an error when t's period and static-prior divisor
+// leave a monitoring window shorter than a procfs write may set.
+func (t Tunables) CheckWindow() error {
+	return checkWindow(t.Period, t.StaticPriorDivisor)
+}
+
 // periodFor returns the monitoring window for one accounting structure:
 // the configured Period, divided by StaticPriorDivisor when the thread
 // group carries a static-analysis flag.

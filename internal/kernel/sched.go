@@ -60,10 +60,9 @@ type Config struct {
 	SampleCost uint64
 	// Parallel executes each quantum's packed slices through a
 	// work-stealing pool: persistent thief goroutines plus the scheduler
-	// goroutine itself claim whole cores off a shared cursor, and the
-	// deterministic accounting of quantum N overlaps the execute phase of
-	// quantum N+1 — results are bit-identical to serial execution (the
-	// deferred accounting is flushed before Run returns). The thief pool
+	// goroutine itself claim whole cores off a shared cursor. Accounting
+	// still runs in plan order after the execute barrier, so results are
+	// bit-identical to serial execution. The thief pool
 	// is sized to the host's spare hardware parallelism, so on a
 	// single-hardware-thread host the quantum degrades to a lean serial
 	// sweep with no goroutine round-trips. The kernel silently falls back
@@ -106,13 +105,13 @@ type placement struct {
 // Run/RunUntilAlert must be driven from one goroutine at a time, but the
 // copy-on-read accessors (Alerts, Tasks, Samples, Now, TopRSX, ProcFS
 // reads) are safe to call concurrently with a running simulation: the
-// scheduler takes mu for the plan→execute→merge span of every quantum and
-// the accessors take the same lock.
+// scheduler takes mu for the plan→execute→account span of every quantum
+// and the accessors take the same lock.
 //
 // Classification (statecheck): the snapshot surface is the machine, task,
-// window, and virtual-clock state; quantum scratch and the deferred-merge
-// double buffer are reconstructible between quanta (derived); the
-// work-stealing pool and observability handles are host-side only.
+// window, and virtual-clock state; quantum scratch is reconstructible
+// between quanta (derived); the work-stealing pool and observability
+// handles are host-side only.
 //
 //cryptojack:state
 type Kernel struct {
@@ -150,22 +149,11 @@ type Kernel struct {
 	// probed, so an ineligible probe can restore the queue exactly.
 	ffScratch []*Task // cryptojack:derived
 
-	// Deferred-merge double buffer: in parallel mode the accounting for
-	// quantum N (window checks, alerts, samples) runs overlapped with the
-	// execute phase of quantum N+1, so the previous quantum's plan, deltas
-	// and context-switch time are parked here until then. pendingMerge is
-	// cleared by the overlap step or by flushPending before Run returns,
-	// so the buffer is empty at every snapshot boundary (derived).
-	prevPlan     []placement   // cryptojack:derived
-	prevDeltas   []uint64      // cryptojack:derived
-	prevSwitch   time.Duration // cryptojack:derived
-	pendingMerge bool          // cryptojack:derived
-
 	// Work-stealing execute phase: claim hands out core indices; thieves
 	// and the scheduler goroutine each take a core at a time and run its
 	// packed slices. workers is nil when serial; parallelRun marks an
-	// active pool for quantum(). Host-side execution machinery: the pool
-	// shape never influences results (bit-identical to serial).
+	// active pool for the quantum metrics. Host-side execution machinery:
+	// the pool shape never influences results (bit-identical to serial).
 	claim       atomic.Int64   // cryptojack:hostonly
 	workers     []*stealWorker // cryptojack:hostonly
 	workerWG    sync.WaitGroup // cryptojack:hostonly
@@ -342,6 +330,32 @@ func (w *stealWorker) loop() {
 	}
 }
 
+// executePlan is the execute phase of a quantum. It wakes the thieves,
+// then claims cores itself until none remain, and waits at the barrier.
+// With no thieves (serial mode, or a fast-forward crossing quantum) the
+// scheduler goroutine claims every core in order; buildPlan appends
+// placements core by core, so that is exactly plan order.
+func (k *Kernel) executePlan() {
+	k.claim.Store(0)
+	k.workerWG.Add(len(k.workers))
+	for _, w := range k.workers {
+		w.start <- struct{}{}
+	}
+	k.stealCores()
+	if len(k.workers) == 0 {
+		return
+	}
+	var waitStart time.Time
+	if k.om != nil {
+		//lint:ignore determinism host wall clock feeds the barrier-wait metric only, never simulation state
+		waitStart = time.Now()
+	}
+	k.workerWG.Wait()
+	if k.om != nil {
+		k.om.mergeWaitNs.Add(uint64(time.Since(waitStart)))
+	}
+}
+
 // stealCores claims cores off the shared cursor and runs each one's
 // packed slices until every core has been taken. Both the thieves and the
 // scheduler goroutine run this, so the quantum never blocks on goroutine
@@ -358,8 +372,8 @@ func (k *Kernel) stealCores() {
 }
 
 // runCoreSlices runs every planned slice of one core, in pack order,
-// sampling the core's RSX counter after each slice exactly as the serial
-// scheduler hook does. It touches only per-core state: the core, its
+// sampling the core's RSX counter after each slice as the paper's
+// context-switch hook does. It touches only per-core state: the core, its
 // counter bank, its coreLast entry, its deltas slots, and (when
 // instrumented) its coreBusy scratch slot — so distinct cores run
 // concurrently without synchronization.
@@ -419,66 +433,48 @@ func (k *Kernel) startWorkers() (stop func()) {
 }
 
 // Run advances the simulation by d of simulated time, scheduling runnable
-// tasks round-robin across all cores in time-slice quanta. In parallel
-// mode each quantum's accounting is deferred and overlapped with the next
-// quantum's execute phase; the final quantum's deferred accounting is
-// flushed before Run returns, so callers always observe fully merged
-// state.
+// tasks round-robin across all cores in time-slice quanta.
 func (k *Kernel) Run(d time.Duration) {
 	stop := k.startWorkers()
 	defer stop()
 	end := k.Now() + d
 	for k.Now() < end {
-		k.quantum(false)
+		k.quantum()
 	}
-	k.flushPending()
 }
 
 // RunUntilAlert runs until the first alert or until d elapses; it reports
 // whether an alert fired. The check sits at the quantum barrier, so the
-// call returns on the exact quantum the alert fires, with the merge phase
-// complete — no alerts are lost or duplicated across the barrier. Because
-// the alert check must see each quantum's accounting before deciding
-// whether to continue, this path runs quanta in flush mode (no deferred
-// merge overlap).
+// call returns on the exact quantum the alert fires, with its accounting
+// complete — no alerts are lost or duplicated across the barrier.
 func (k *Kernel) RunUntilAlert(d time.Duration) bool {
 	stop := k.startWorkers()
 	defer stop()
 	end := k.Now() + d
-	fired := 0
 	for k.Now() < end {
-		fired += k.quantum(true)
-		if fired > 0 {
+		if k.quantum() > 0 {
 			return true
 		}
 	}
-	return fired > 0
+	return false
 }
 
-// quantum runs one time slice on every core in three phases:
+// quantum runs one time slice on every core in four phases, all before
+// it returns:
 //
 //  1. plan: pick tasks for all cores (a task occupies at most one core);
-//  2. execute: run every planned slice and sample per-slice RSX deltas —
-//     either inline (serial) or via the work-stealing pool (parallel);
-//  3. merge: rebuild the ready queue, then apply the per-slice accounting
-//     (counter deltas, window checks, alerts) in plan order.
+//  2. execute: run every planned slice and sample per-slice RSX deltas,
+//     through the work-stealing pool when it is active;
+//  3. rebuild the ready queue;
+//  4. account: apply the per-slice RSX deltas, window checks and alerts
+//     in plan order.
 //
 // Only phase 2 is concurrent, and it touches exclusively per-core state;
 // accounting always applies in the fixed plan order, so serial and
 // parallel execution produce bit-identical results.
 //
-// In parallel mode the accounting half of the merge is deferred: the
-// plan/deltas double buffer parks quantum N's accounting, which then runs
-// on the scheduler goroutine while the pool executes quantum N+1's slices
-// — hiding the accounting latency inside the execute window instead of
-// stalling the barrier. The ready-queue rebuild cannot be deferred (the
-// next plan needs it) but is cheap: it only inspects workload completion.
-// flush forces immediate accounting; RunUntilAlert needs it so the alert
-// decision and the alert-time invariant (last alert's Time equals Now at
-// return) hold at every quantum boundary.
-//
 // It returns the number of alerts this quantum raised.
-func (k *Kernel) quantum(flush bool) int {
+func (k *Kernel) quantum() int {
 	k.mu.Lock()
 	base := len(k.alerts)
 	k.buildPlan()
@@ -488,71 +484,16 @@ func (k *Kernel) quantum(flush bool) int {
 		execStart = time.Now()
 		k.om.beginQuantum()
 	}
-	parallel := k.parallelRun
-	if parallel {
-		k.claim.Store(0)
-		k.workerWG.Add(len(k.workers))
-		for _, w := range k.workers {
-			w.start <- struct{}{}
-		}
-		if k.pendingMerge {
-			// Overlap: account the previous quantum while the pool runs
-			// this one. The two touch disjoint state — accounting reads
-			// prevPlan/prevDeltas and task window structures; the pool
-			// reads plan and writes deltas/per-core counters.
-			var t0 time.Time
-			if k.om != nil {
-				//lint:ignore determinism host wall clock feeds the merge-timing metrics only, never simulation state
-				t0 = time.Now()
-			}
-			k.accountPlan(k.prevPlan, k.prevDeltas, k.prevSwitch)
-			k.pendingMerge = false
-			if k.om != nil {
-				d := uint64(time.Since(t0))
-				k.om.mergeNs.Add(d)
-				k.om.mergeOverlapNs.Add(d)
-			}
-		}
-		k.stealCores()
-		var waitStart time.Time
-		if k.om != nil {
-			//lint:ignore determinism host wall clock feeds the barrier-wait metric only, never simulation state
-			waitStart = time.Now()
-		}
-		k.workerWG.Wait()
-		if k.om != nil {
-			k.om.mergeWaitNs.Add(uint64(time.Since(waitStart)))
-		}
-	} else {
-		if k.pendingMerge {
-			// Defensive: eligibility flipped between Runs with a merge
-			// still parked (e.g. an observer was attached). Settle it
-			// before the serial quantum.
-			k.accountPlan(k.prevPlan, k.prevDeltas, k.prevSwitch)
-			k.pendingMerge = false
-		}
-		k.runPlanSerial()
-	}
+	k.executePlan()
 	var mergeStart time.Time
 	if k.om != nil {
 		//lint:ignore determinism host wall clock feeds the phase-timing metrics only, never simulation state
 		mergeStart = time.Now()
 	}
-	switchTime := k.now + k.cfg.TimeSlice
 	k.rebuildRunq()
-	if parallel && !flush {
-		// Park this quantum's accounting; the next quantum's execute
-		// phase will hide it. Buffers swap so the pool never writes into
-		// a plan the deferred accounting still reads.
-		k.plan, k.prevPlan = k.prevPlan[:0], k.plan
-		k.deltas, k.prevDeltas = k.prevDeltas[:0], k.deltas
-		k.prevSwitch = switchTime
-		k.pendingMerge = true
-	} else {
-		k.accountPlan(k.plan, k.deltas, switchTime)
-	}
+	k.accountPlan()
 	if k.om != nil {
-		k.om.observeQuantum(k, parallel, mergeStart.Sub(execStart), time.Since(mergeStart))
+		k.om.observeQuantum(k, k.parallelRun, mergeStart.Sub(execStart), time.Since(mergeStart))
 	}
 	k.now += k.cfg.TimeSlice
 	fired := k.alerts[base:len(k.alerts):len(k.alerts)]
@@ -567,38 +508,6 @@ func (k *Kernel) quantum(flush bool) int {
 		k.om.observeAlertLatency()
 	}
 	return len(fired)
-}
-
-// flushPending settles a parked deferred merge, delivering any alerts it
-// raises. Run calls it after its final quantum so callers never observe
-// half-merged state; it is a no-op when nothing is parked.
-func (k *Kernel) flushPending() {
-	k.mu.Lock()
-	if !k.pendingMerge {
-		k.mu.Unlock()
-		return
-	}
-	base := len(k.alerts)
-	var t0 time.Time
-	if k.om != nil {
-		//lint:ignore determinism host wall clock feeds the merge-timing metrics only, never simulation state
-		t0 = time.Now()
-	}
-	k.accountPlan(k.prevPlan, k.prevDeltas, k.prevSwitch)
-	k.pendingMerge = false
-	if k.om != nil {
-		k.om.mergeNs.Add(uint64(time.Since(t0)))
-	}
-	fired := k.alerts[base:len(k.alerts):len(k.alerts)]
-	k.mu.Unlock()
-	if k.onAlert != nil {
-		for _, a := range fired {
-			k.onAlert(a)
-		}
-	}
-	if k.om != nil {
-		k.om.observeAlertLatency()
-	}
 }
 
 // buildPlan picks tasks for all cores before any of them run so that a
@@ -646,27 +555,6 @@ func (k *Kernel) buildPlan() {
 	k.deltas = k.deltas[:len(k.plan)]
 }
 
-// runPlanSerial is the serial execute phase: every planned slice runs
-// inline, with the same per-slice counter sampling the workers perform.
-func (k *Kernel) runPlanSerial() {
-	for i := range k.plan {
-		p := &k.plan[i]
-		core := k.machine.Core(p.core)
-		var t0 time.Time
-		if k.om != nil {
-			//lint:ignore determinism host wall clock feeds the busy-time metric only, never simulation state
-			t0 = time.Now()
-		}
-		p.task.workload.RunSlice(core, k.cfg.TimeSlice)
-		if k.om != nil {
-			k.om.coreBusy[p.core] += time.Since(t0)
-		}
-		cur := core.Counters().RSX()
-		k.deltas[i] = cur - k.coreLast[p.core]
-		k.coreLast[p.core] = cur
-	}
-}
-
 // nextRunnable pops the next non-exited task from the ready queue.
 //
 //cryptojack:locked
@@ -682,11 +570,8 @@ func (k *Kernel) nextRunnable() *Task {
 }
 
 // rebuildRunq is the scheduling half of the merge: for every slice in
-// plan order it retires finished workloads and requeues the rest. It must
-// run before the next plan is built, but it is independent of the
-// accounting half — Task.exit only flips the exited flag and thread
-// counts, neither of which account reads — so the accounting for the same
-// plan can be deferred past it without changing any observable result.
+// plan order it retires finished workloads and requeues the rest, ready
+// for the next plan.
 //
 //cryptojack:locked
 func (k *Kernel) rebuildRunq() {
@@ -709,15 +594,15 @@ func (k *Kernel) rebuildRunq() {
 // accountPlan is the deterministic accounting half of the merge (the
 // paper's Figure 3 step 3 housekeeping, decoupled from execution): for
 // every slice in plan order it applies the sampled RSX delta to the shared
-// tgid structure and performs the window check. switchTime is the
-// simulated context-switch instant of the quantum the plan belongs to —
-// passed explicitly because in deferred mode k.now has already advanced
-// past it. Alerts land on k.alerts; callers slice off their batch.
+// tgid structure and performs the window check at the quantum's
+// context-switch instant. Alerts land on k.alerts; callers slice off
+// their batch.
 //
 //cryptojack:locked
-func (k *Kernel) accountPlan(plan []placement, deltas []uint64, switchTime time.Duration) {
-	for i := range plan {
-		k.account(plan[i].task, deltas[i], switchTime)
+func (k *Kernel) accountPlan() {
+	switchTime := k.now + k.cfg.TimeSlice
+	for i := range k.plan {
+		k.account(k.plan[i].task, k.deltas[i], switchTime)
 	}
 }
 

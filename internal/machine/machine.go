@@ -128,8 +128,8 @@ func (m *Machine) SpawnApp(p workload.AppProfile) *kernel.Task {
 
 // SpawnProgram loads an ISA program as a non-root process running at the
 // given effective instruction rate. Looping programs restart on halt.
-// Program code is never copied — many machines may load the same *Program
-// image, which is what makes the fleet-scope decoded-block cache pay off.
+// Program code is never copied: many machines may load the same *Program
+// image, and each core decodes its own blocks from it.
 func (m *Machine) SpawnProgram(name string, prog *isa.Program, ips uint64, loop bool) (*kernel.Task, error) {
 	base := m.nextBase
 	m.nextBase += cpu.RegionSize(prog) + 1<<20
@@ -171,10 +171,6 @@ func (m *Machine) Run(d time.Duration) { m.kern.Run(d) }
 // state changed and the caller must Run(d) instead. Fleets use this to
 // skip instruction dispatch on idle and rate-model-only members.
 func (m *Machine) FastForward(d time.Duration) bool { return m.kern.FastForward(d) }
-
-// Quiescence classifies the machine's runnable set (idle, purely
-// rate-model, or busy) for fast-forward decisions; see kernel.Quiescence.
-func (m *Machine) Quiescence() kernel.Quiescence { return m.kern.Quiescence() }
 
 // RunUntilAlert runs until an alert fires or the duration elapses.
 func (m *Machine) RunUntilAlert(d time.Duration) bool {
